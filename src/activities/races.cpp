@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <latch>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -111,8 +112,11 @@ TicketResult sell_tickets(int seats, int clerks, TicketStrategy strategy,
   std::mutex box_office;
   std::atomic<int> issued{0};
 
+  // Clerks open together, so their scans overlap on any core count.
+  std::latch start(clerks);
   auto clerk = [&](int id) {
     Rng rng(seed * 2654435761u + static_cast<std::uint64_t>(id));
+    start.arrive_and_wait();
     // Each clerk scans from a random start so clerks collide on seats.
     while (true) {
       bool sold_one = false;

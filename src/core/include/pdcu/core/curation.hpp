@@ -1,5 +1,6 @@
 // The PDCunplugged curation: 38 unique unplugged activities reconstructed
 // from the papers the paper cites ([3], [8]–[14], [17]–[33], [35]–[37]).
+// Its only source is data/activities/*.md, compiled in (see embedded.hpp).
 //
 // The live pdcunplugged.org dataset is not published in the paper; only its
 // aggregate statistics are (Tables I and II, §III.A, §III.D). This curation
@@ -13,7 +14,8 @@
 
 namespace pdcu::core {
 
-/// The built-in curation, in stable (date-added) order.
+/// The built-in curation, in file-name (= slug) order: the order
+/// Repository::load("data") produces.
 const std::vector<Activity>& curation();
 
 /// Looks up a curated activity by slug; nullptr when absent.

@@ -6,7 +6,8 @@
 //
 // These are deliberately NOT part of the 38-activity snapshot curation
 // (which reproduces the paper's statistics exactly); they model the next
-// batch of community contributions.
+// batch of community contributions. Their only source is
+// data/proposed/activities/*.md, compiled in (see core/embedded.hpp).
 #pragma once
 
 #include <vector>
@@ -15,7 +16,8 @@
 
 namespace pdcu::ext {
 
-/// Seven proposed activities targeting the paper's named gaps.
+/// The eight proposed activities targeting the paper's named gaps, in
+/// file-name (= slug) order.
 const std::vector<core::Activity>& proposed_activities();
 
 /// Lookup by slug; nullptr when absent.

@@ -18,6 +18,7 @@
 // so packing two workers onto one pool thread would corrupt the schedule.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -85,6 +86,14 @@ struct Result {
 
   std::uint64_t errors_total() const {
     return connect_errors + send_errors + read_errors + timeouts;
+  }
+
+  /// The q-quantile of latency_us clamped to max_latency_us. The
+  /// histogram interpolates inside power-of-two buckets, so unclamped a
+  /// p999 could report a bucket's upper edge above anything observed.
+  /// Every reported latency quantile goes through this.
+  std::uint64_t latency_quantile(double q) const {
+    return std::min(latency_us.quantile(q), max_latency_us);
   }
 
   /// The no-silent-gaps invariant: every scheduled request lands in

@@ -176,11 +176,11 @@ std::string render_result_json(const Result& result, std::string_view bench,
   writer.integer("peak_connections", result.peak_connections);
   writer.close();
   writer.open("latency_us");
-  writer.integer("p50", result.latency_us.quantile(0.50));
-  writer.integer("p90", result.latency_us.quantile(0.90));
-  writer.integer("p95", result.latency_us.quantile(0.95));
-  writer.integer("p99", result.latency_us.quantile(0.99));
-  writer.integer("p999", result.latency_us.quantile(0.999));
+  writer.integer("p50", result.latency_quantile(0.50));
+  writer.integer("p90", result.latency_quantile(0.90));
+  writer.integer("p95", result.latency_quantile(0.95));
+  writer.integer("p99", result.latency_quantile(0.99));
+  writer.integer("p999", result.latency_quantile(0.999));
   writer.number("mean", result.latency_us.mean());
   writer.integer("max", result.max_latency_us);
   writer.close();

@@ -142,8 +142,8 @@ std::string render_sweep_json(const std::vector<SweepPoint>& points,
     writer.integer("completed", point.result.completed);
     writer.integer("errors", point.result.errors_total());
     writer.integer("peak_connections", point.result.peak_connections);
-    writer.integer("p50_us", point.result.latency_us.quantile(0.50));
-    writer.integer("p99_us", point.result.latency_us.quantile(0.99));
+    writer.integer("p50_us", point.result.latency_quantile(0.50));
+    writer.integer("p99_us", point.result.latency_quantile(0.99));
     writer.integer("max_us", point.result.max_latency_us);
     writer.close();
   }

@@ -55,7 +55,9 @@ FaultInjector::Action FaultInjector::intercept(int src, int dst,
     if (!link_matches(rule, src, dst)) continue;
     if (now_ms < rule.from_ms || now_ms >= rule.until_ms) continue;
     const std::uint64_t index = state.matched++;
-    if (index < rule.skip || index >= rule.skip + rule.limit) continue;
+    // index - skip, not skip + limit: the default limit is UINT64_MAX,
+    // and skip + UINT64_MAX wraps to below skip.
+    if (index < rule.skip || index - rule.skip >= rule.limit) continue;
     ++injected_;
     Action action;
     action.drop = rule.mode == Mode::kDrop;

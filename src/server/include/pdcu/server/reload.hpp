@@ -69,10 +69,11 @@ class ReloadManager {
   ReloadManager(const ReloadManager&) = delete;
   ReloadManager& operator=(const ReloadManager&) = delete;
 
-  /// Span registry for reload-built sites and routers (site.* and
-  /// search.build phase timings keep accumulating across reloads, and the
-  /// swapped-in router keeps serving them on /metrics). Must outlive the
-  /// manager. Call before start().
+  /// Span registry for reload-built sites and indexes (site.* and
+  /// search.build phase timings keep accumulating across reloads). The
+  /// swapped-in router serves on /metrics whatever registry the live one
+  /// was wired with, normally this one. Must outlive the manager. Call
+  /// before start().
   void set_spans(obs::SpanRegistry* spans) { spans_ = spans; }
 
   /// Starts the background poll thread. Idempotent.

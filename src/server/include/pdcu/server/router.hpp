@@ -49,7 +49,7 @@ class Router {
 
   /// Wires the /metrics endpoint; without it /metrics is a 404. The
   /// pointee must outlive the router (HttpServer passes its own metrics).
-  void set_metrics(const ServerMetrics* metrics) { metrics_ = metrics; }
+  void set_metrics(const ServerMetrics* metrics) { wiring_.metrics = metrics; }
 
   /// Attaches the stats of the build that produced the served site;
   /// /metrics then appends the pdcu_build_* gauges (pages rendered vs.
@@ -60,29 +60,29 @@ class Router {
   /// a JSON document (status ok|degraded, quarantined slugs, last-reload
   /// outcome and age); without one it stays the bare "ok\n". The pointee
   /// must outlive the router and every snapshot swapped after it.
-  void set_health(const HealthTracker* health) { health_ = health; }
+  void set_health(const HealthTracker* health) { wiring_.health = health; }
 
   /// Appends the pdcu_reload_* lines to /metrics (live-reload servers).
   void set_reload_metrics(const ReloadMetrics* metrics) {
-    reload_metrics_ = metrics;
+    wiring_.reload_metrics = metrics;
   }
 
   /// Enables GET /cluster/gossip?digest=... — merge the sender's digest,
   /// answer with ours. Without it the route is a 404 (standalone servers
   /// advertise no cluster surface). The pointee must outlive the router
   /// and every snapshot swapped after it.
-  void set_gossip(const GossipEndpoint* gossip) { gossip_ = gossip; }
+  void set_gossip(const GossipEndpoint* gossip) { wiring_.gossip = gossip; }
 
   /// Appends the pdcu_span_duration_us histogram series (site-build
   /// phases, index builds) to /metrics. The registry must outlive the
   /// router and every snapshot swapped after it.
-  void set_spans(const obs::SpanRegistry* spans) { spans_ = spans; }
+  void set_spans(const obs::SpanRegistry* spans) { wiring_.spans = spans; }
 
   /// Appends the reactor's pdcu_net_* families to /metrics (wired only
   /// when the server runs the reactor backend). The pointee must outlive
   /// the router and every snapshot swapped after it.
   void set_net_metrics(const net::NetMetrics* metrics) {
-    net_metrics_ = metrics;
+    wiring_.net_metrics = metrics;
   }
 
   /// Shards /api/search query execution across `pool` (per-shard top-k,
@@ -91,7 +91,13 @@ class Router {
   /// NOT be the pool the server's own handlers run on: a handler blocking
   /// on tasks queued to its own busy pool deadlocks. Leave unset (the
   /// default) when ServerOptions::threads == 0 shares rt::default_pool().
-  void set_search_pool(rt::ThreadPool* pool) { search_pool_ = pool; }
+  void set_search_pool(rt::ThreadPool* pool) { wiring_.search_pool = pool; }
+
+  /// Copies every set_* wiring above from `live`, the snapshot this
+  /// router is about to replace, so a rebuilt router serves the same
+  /// surface (gossip, sharded search, /metrics families) as the one it
+  /// swaps out. The build stats are per-build and not copied.
+  void inherit_wiring(const Router& live) { wiring_ = live.wiring_; }
 
   /// Pure dispatch: no I/O, no mutation. GET and HEAD only (405 otherwise
   /// on known routes); cached paths honor If-None-Match with 304.
@@ -135,13 +141,18 @@ class Router {
   tax::TermIndex taxonomy_;
   mutable QueryCache query_cache_{kQueryCacheEntries};
   mutable search::FilterCache filter_cache_;
-  rt::ThreadPool* search_pool_ = nullptr;
-  const ServerMetrics* metrics_ = nullptr;
-  const HealthTracker* health_ = nullptr;
-  const ReloadMetrics* reload_metrics_ = nullptr;
-  const GossipEndpoint* gossip_ = nullptr;
-  const obs::SpanRegistry* spans_ = nullptr;
-  const net::NetMetrics* net_metrics_ = nullptr;
+  // Everything the set_* calls wire in, kept together so
+  // inherit_wiring() carries all of it across a reload.
+  struct Wiring {
+    rt::ThreadPool* search_pool = nullptr;
+    const ServerMetrics* metrics = nullptr;
+    const HealthTracker* health = nullptr;
+    const ReloadMetrics* reload_metrics = nullptr;
+    const GossipEndpoint* gossip = nullptr;
+    const obs::SpanRegistry* spans = nullptr;
+    const net::NetMetrics* net_metrics = nullptr;
+  };
+  Wiring wiring_;
   std::optional<site::BuildStats> build_stats_;
 };
 

@@ -120,9 +120,12 @@ ReloadManager::Step ReloadManager::attempt_reload(
   auto index = search::SearchIndex::build(report.repository,
                                           &rt::default_pool(), spans_);
   Router router(site, report.repository, std::move(index));
+  // Everything the live snapshot was wired with (gossip, search pool,
+  // spans, ...) carries over; the health and reload metrics this manager
+  // updates are wired in on top.
+  router.inherit_wiring(*server_.router());
   router.set_build_stats(stats);
   router.set_health(&health_);
-  router.set_spans(spans_);
   router.set_reload_metrics(&metrics_);
   server_.swap_router(std::move(router));
 

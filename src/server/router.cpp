@@ -134,10 +134,10 @@ Router::Router(const site::Site& site, const core::Repository& repo,
 
 Response Router::handle(const Request& request) const {
   const std::string_view path = request.path();
-  const bool known_route = path == "/healthz" || path == "/metrics" ||
-                           path == "/api/search" ||
-                           (path == "/cluster/gossip" && gossip_ != nullptr) ||
-                           cache_.find(path) != nullptr;
+  const bool known_route =
+      path == "/healthz" || path == "/metrics" || path == "/api/search" ||
+      (path == "/cluster/gossip" && wiring_.gossip != nullptr) ||
+      cache_.find(path) != nullptr;
   if (request.method != "GET" && request.method != "HEAD") {
     // 405 promises the path exists for some method; an unknown path is a
     // 404 no matter how it is requested.
@@ -150,20 +150,24 @@ Response Router::handle(const Request& request) const {
   }
 
   if (path == "/healthz") {
-    if (health_ == nullptr) {
+    if (wiring_.health == nullptr) {
       return plain_response(200, "ok\n");
     }
-    return json_response(200, health_->render_json());
+    return json_response(200, wiring_.health->render_json());
   }
   if (path == "/metrics") {
-    if (metrics_ == nullptr) {
+    if (wiring_.metrics == nullptr) {
       return plain_response(404, "404 metrics not enabled\n");
     }
-    std::string text = metrics_->render_text();
+    std::string text = wiring_.metrics->render_text();
     if (build_stats_.has_value()) text += build_stats_->render_text();
-    if (reload_metrics_ != nullptr) text += reload_metrics_->render_text();
-    if (spans_ != nullptr) text += spans_->render_text();
-    if (net_metrics_ != nullptr) text += net_metrics_->render_text();
+    if (wiring_.reload_metrics != nullptr) {
+      text += wiring_.reload_metrics->render_text();
+    }
+    if (wiring_.spans != nullptr) text += wiring_.spans->render_text();
+    if (wiring_.net_metrics != nullptr) {
+      text += wiring_.net_metrics->render_text();
+    }
     text += query_cache_metrics_text(query_cache_);
     Response response;
     response.set("Content-Type", std::string(kMetricsType));
@@ -173,12 +177,12 @@ Response Router::handle(const Request& request) const {
   if (path == "/api/search") {
     return handle_search(request);
   }
-  if (path == "/cluster/gossip" && gossip_ != nullptr) {
+  if (path == "/cluster/gossip" && wiring_.gossip != nullptr) {
     std::string peer_digest;
     for (const auto& [key, value] : parse_query_params(request.query())) {
       if (key == "digest") peer_digest = value;
     }
-    return plain_response(200, gossip_->exchange(peer_digest));
+    return plain_response(200, wiring_.gossip->exchange(peer_digest));
   }
 
   const CachedEntry* entry = cache_.find(path);
@@ -259,7 +263,7 @@ Response Router::handle_search(const Request& request) const {
   } else {
     search::SearchOptions options;
     options.limit = limit;
-    options.pool = search_pool_;
+    options.pool = wiring_.search_pool;
     options.filter_cache = &filter_cache_;
     const auto hits = index_.search(query, &taxonomy_, options);
     fragment = search_results_fragment(hits);

@@ -73,6 +73,21 @@ TEST(FaultInjector, SkipAndLimitCountMatchingMessages) {
   EXPECT_EQ(fault.injected(), 3u);
 }
 
+TEST(FaultInjector, SkipWithTheDefaultLimitFiresForever) {
+  // With the default limit (UINT64_MAX), skip + limit would wrap; the
+  // rule must still fire on every message after the skipped ones.
+  FaultInjector fault;
+  FaultInjector::Rule rule;
+  rule.src = 0;
+  rule.dst = 1;
+  rule.skip = 3;
+  fault.add_rule(rule);
+
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(fault.intercept(0, 1, i).drop);
+  for (int i = 3; i < 10; ++i) EXPECT_TRUE(fault.intercept(0, 1, i).drop);
+  EXPECT_EQ(fault.injected(), 7u);
+}
+
 TEST(FaultInjector, DelayRuleReturnsAddedLatency) {
   FaultInjector fault;
   FaultInjector::Rule rule;

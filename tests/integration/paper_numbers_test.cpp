@@ -20,7 +20,8 @@ const core::Repository& shipped() {
   static const core::Repository kRepo = [] {
     auto loaded = core::Repository::load(PDCU_DATA_DIR);
     EXPECT_TRUE(loaded.has_value())
-        << "data/activities missing — run tools/curation_export";
+        << "data/activities missing or unloadable — it is the curation's "
+           "only copy; restore it from version control";
     return loaded.has_value() ? std::move(loaded).value()
                               : core::Repository::builtin();
   }();

@@ -1,9 +1,12 @@
 // Full-pipeline round trip: built-in curation -> Markdown files on disk ->
 // parsed repository -> identical analytics.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <system_error>
 
 #include "pdcu/core/activity_io.hpp"
 #include "pdcu/core/repository.hpp"
@@ -12,17 +15,27 @@ namespace core = pdcu::core;
 
 namespace {
 
+/// The export directory, removed again when the process exits.
+struct ExportDir {
+  std::filesystem::path path;
+  ~ExportDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path, ignored);
+  }
+};
+
 std::filesystem::path export_dir() {
-  static const std::filesystem::path kDir = [] {
-    auto dir =
-        std::filesystem::temp_directory_path() / "pdcu_roundtrip_test";
+  static const ExportDir kDir = [] {
+    // One directory per process: ctest -j runs these cases concurrently.
+    auto dir = std::filesystem::temp_directory_path() /
+               ("pdcu_roundtrip_test_" + std::to_string(::getpid()));
     std::filesystem::remove_all(dir);
     auto repo = core::Repository::builtin();
     auto status = repo.export_to(dir);
     EXPECT_TRUE(status.has_value()) << status.error().message;
-    return dir;
+    return ExportDir{dir};
   }();
-  return kDir;
+  return kDir.path;
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 
 #include "pdcu/loadgen/bench_json.hpp"
 #include "pdcu/loadgen/smoke.hpp"
+#include "pdcu/obs/histogram.hpp"
 
 namespace loadgen = pdcu::loadgen;
 
@@ -185,6 +186,36 @@ TEST(Loadgen, ResultJsonSpeaksTheBenchSchemaWithTheGateKeys) {
   EXPECT_EQ(doc.text("config.mix"),
             "page=6:catalog=1:activity=2:search=1");
   EXPECT_DOUBLE_EQ(doc.number("requests.scheduled"), 30.0);
+}
+
+TEST(Loadgen, ReportedQuantilesNeverExceedTheObservedMax) {
+  // Every latency sits mid-bucket in (2048, 4096]; interpolating inside
+  // that bucket lands above anything observed, so reports must clamp.
+  pdcu::obs::Histogram latencies;
+  for (int i = 0; i < 1000; ++i) latencies.record(3000);
+  loadgen::Result result;
+  result.scheduled = result.completed = result.status_2xx = 1000;
+  result.latency_us = latencies.snapshot();
+  result.max_latency_us = 3000;
+  ASSERT_GT(result.latency_us.quantile(0.999), result.max_latency_us);
+  EXPECT_EQ(result.latency_quantile(0.999), 3000u);
+
+  auto doc = loadgen::parse_bench_json(
+      loadgen::render_result_json(result, "serve", loadgen::Options{}));
+  ASSERT_TRUE(doc.has_value());
+  for (const char* key : {"latency_us.p50", "latency_us.p90", "latency_us.p95",
+                          "latency_us.p99", "latency_us.p999"}) {
+    EXPECT_LE(doc.value().number(key), doc.value().number("latency_us.max"))
+        << key;
+  }
+
+  const std::vector<loadgen::SweepPoint> points = {
+      {loadgen::SmokeBackend::kReactor, 100.0, result}};
+  auto sweep = loadgen::parse_bench_json(
+      loadgen::render_sweep_json(points, loadgen::SweepOptions{}));
+  ASSERT_TRUE(sweep.has_value());
+  EXPECT_LE(sweep.value().number("reactor_0.p99_us"),
+            sweep.value().number("reactor_0.max_us"));
 }
 
 TEST(Loadgen, KilledServerMidRunIsChargedAsErrorsNotSilence) {

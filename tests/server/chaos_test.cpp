@@ -203,7 +203,10 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST_P(ChaosBackends, FailedReloadKeepsServingLastKnownGoodUnderLoad) {
-  auto dir = fresh_content_dir("pdcu_chaos_reload");
+  // One directory per backend: ctest -j runs both instances at once.
+  auto dir = fresh_content_dir(GetParam() == server::Backend::kReactor
+                                   ? "pdcu_chaos_reload_reactor"
+                                   : "pdcu_chaos_reload_pool");
   Stack stack(dir, GetParam());  // healthy start
   EXPECT_TRUE(strs::contains(body_of(simple_get(stack.port(), "/healthz")),
                              "\"status\":\"ok\""));

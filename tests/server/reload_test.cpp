@@ -8,11 +8,13 @@
 
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 
 #include "pdcu/core/repository.hpp"
+#include "pdcu/obs/span.hpp"
 #include "pdcu/server/server.hpp"
 #include "pdcu/site/site.hpp"
 #include "pdcu/support/fs.hpp"
@@ -48,19 +50,22 @@ void grow(const std::filesystem::path& dir, const std::string& slug) {
 }
 
 /// Everything a ReloadManager needs, wired against a stopped server (the
-/// manager only calls swap_router, which needs no live socket).
+/// manager only calls swap_router, which needs no live socket). `wire`
+/// runs on the initial router, as `pdcu serve` wires its first snapshot.
 struct Fixture {
   explicit Fixture(const std::filesystem::path& content_dir,
                    server::ReloadOptions options = {.backoff_initial =
                                                         std::chrono::
-                                                            milliseconds(0)}) {
+                                                            milliseconds(0)},
+                   const std::function<void(server::Router&)>& wire = {}) {
     auto loaded = core::Repository::load_lenient(content_dir);
     EXPECT_TRUE(loaded.has_value());
     site::SiteOptions site_options;
     site::Site built = site::rebuild(loaded.value().repository, cache,
                                      site_options);
-    http = std::make_unique<server::HttpServer>(
-        server::Router(built, loaded.value().repository));
+    server::Router router(built, loaded.value().repository);
+    if (wire) wire(router);
+    http = std::make_unique<server::HttpServer>(std::move(router));
     auto fingerprint = server::content_fingerprint(content_dir);
     EXPECT_TRUE(fingerprint.has_value());
     manager = std::make_unique<server::ReloadManager>(
@@ -120,6 +125,52 @@ TEST(ReloadManager, ReloadsWhenTheFingerprintMoves) {
   EXPECT_FALSE(fx.health.degraded());
   // And back to idle: the new fingerprint is now the baseline.
   EXPECT_EQ(fx.manager->check_once(), server::ReloadManager::Step::kIdle);
+}
+
+namespace {
+
+/// Answers every gossip exchange with a fixed digest.
+class FixedGossip : public server::GossipEndpoint {
+ public:
+  std::string exchange(std::string_view) const override { return "ours\n"; }
+};
+
+server::Request get(std::string target) {
+  server::Request request;
+  request.method = "GET";
+  request.target = std::move(target);
+  request.version = "HTTP/1.1";
+  return request;
+}
+
+}  // namespace
+
+TEST(ReloadManager, ReloadedSnapshotKeepsTheLiveWiring) {
+  // A `pdcu serve --cluster-id --watch` replica must keep answering
+  // /cluster/gossip (and keep every other wiring, such as spans on
+  // /metrics) in the snapshot a reload swaps in.
+  auto dir = fresh_content_dir("pdcu_reload_wiring");
+  FixedGossip gossip;
+  pdcu::obs::SpanRegistry spans;
+  spans.record("wired.span", 7);
+  Fixture fx(dir, {.backoff_initial = std::chrono::milliseconds(0)},
+             [&](server::Router& router) {
+               router.set_gossip(&gossip);
+               router.set_spans(&spans);
+             });
+  ASSERT_EQ(fx.http->router()->handle(get("/cluster/gossip?digest=")).status,
+            200);
+  grow(dir, "findsmallestcard");
+  ASSERT_EQ(fx.manager->check_once(), server::ReloadManager::Step::kReloaded);
+
+  const auto live = fx.http->router();
+  const auto exchanged = live->handle(get("/cluster/gossip?digest="));
+  EXPECT_EQ(exchanged.status, 200);
+  EXPECT_EQ(exchanged.body, "ours\n");
+  const auto metrics = live->handle(get("/metrics"));
+  EXPECT_TRUE(strs::contains(metrics.body, "span=\"wired.span\""));
+  // The reload manager's own wiring lands on top of what carried over.
+  EXPECT_TRUE(strs::contains(metrics.body, "pdcu_reload_"));
 }
 
 TEST(ReloadManager, PartialQuarantineSwapsInDegradedSite) {

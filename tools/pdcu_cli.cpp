@@ -40,8 +40,7 @@
 //        incrementally, keep serving last-known-good on failure),
 //        --poll-ms N (watch poll interval, default 500),
 //        --access-log FILE (structured JSON access log, one object per
-//        line; "-" for stdout), --legacy-metrics (also expose the
-//        pre-rename pdcu_requests{class=...} series on /metrics).
+//        line; "-" for stdout).
 //        Content loads leniently: malformed files are quarantined and
 //        /healthz reports "degraded" instead of the server not starting.
 //   pdcu loadgen [options]         open-loop HTTP load generator
@@ -447,8 +446,8 @@ int loadgen_cmd(int argc, char** argv) {
                static_cast<unsigned long long>(r.completed),
                static_cast<unsigned long long>(r.scheduled),
                r.achieved_rate, r.target_rate,
-               static_cast<unsigned long long>(r.latency_us.quantile(0.5)),
-               static_cast<unsigned long long>(r.latency_us.quantile(0.99)),
+               static_cast<unsigned long long>(r.latency_quantile(0.5)),
+               static_cast<unsigned long long>(r.latency_quantile(0.99)),
                static_cast<unsigned long long>(r.max_latency_us),
                static_cast<unsigned long long>(r.errors_total()));
   return r.errors_total() == 0 ? 0 : 1;
@@ -757,8 +756,6 @@ int serve(pdcu::core::Repository repo, int argc, char** argv) {
           std::chrono::milliseconds(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--access-log" && i + 1 < argc) {
       access_log_path = argv[++i];
-    } else if (arg == "--legacy-metrics") {
-      pdcu::obs::set_legacy_names(true);
     } else if (arg == "--cluster-id" && i + 1 < argc) {
       cluster_id = argv[++i];
     } else if (arg == "--gossip-peers" && i + 1 < argc) {
