@@ -46,9 +46,10 @@ pdcu_add_gbench(bench_sync_methods bench/bench_sync_methods.cpp)
 pdcu_add_gbench(bench_serve bench/bench_serve.cpp)
 target_link_libraries(bench_serve PRIVATE pdcu_server pdcu_loadgen pdcu_obs)
 
-# Resilience path: fingerprint polls, lenient loads, reload-and-swap.
+# Resilience path: fingerprint polls, lenient loads, reload-and-swap, and
+# one-edit publishes on a synthetic 10k corpus.
 pdcu_add_gbench(bench_reload bench/bench_reload.cpp)
-target_link_libraries(bench_reload PRIVATE pdcu_server)
+target_link_libraries(bench_reload PRIVATE pdcu_server pdcu_search)
 
 # Search engine (pdcu::search): index build scaling, query latency, and
 # index (de)serialization throughput.

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <thread>
 
+#include "pdcu/runtime/start_line.hpp"
 #include "pdcu/support/rng.hpp"
 
 namespace pdcu::act {
@@ -342,8 +343,11 @@ GardenResult water_orchard(int gardeners, int trees, GardenScheme scheme,
   for (auto& w : watered) w.store(0);
   std::mutex gate;
 
+  // Gardeners start together, so their walks overlap on any core count.
+  rt::StartLine start(gardeners);
   auto gardener = [&](int id) {
     Rng rng(seed * 0x9E3779B97F4A7C15ULL + static_cast<std::uint64_t>(id));
+    start.arrive_and_wait();
     switch (scheme) {
       case GardenScheme::kNoCoordination: {
         // Walk the whole orchard in a personal order; water what looks dry.

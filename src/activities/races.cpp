@@ -5,11 +5,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <latch>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "pdcu/runtime/start_line.hpp"
 #include "pdcu/support/rng.hpp"
 
 namespace pdcu::act {
@@ -42,8 +42,12 @@ JuiceResult sweeten_juice(int robots, int target, JuiceMode mode,
   std::atomic<int> added{0};
   std::mutex glass;
 
+  // Robots start together, so their check-then-act windows overlap on any
+  // core count.
+  rt::StartLine start(robots);
   auto robot = [&](int id) {
     Rng rng(seed * 1315423911u + static_cast<std::uint64_t>(id));
+    start.arrive_and_wait();
     while (true) {
       switch (mode) {
         case JuiceMode::kUnsynchronized: {
@@ -113,7 +117,7 @@ TicketResult sell_tickets(int seats, int clerks, TicketStrategy strategy,
   std::atomic<int> issued{0};
 
   // Clerks open together, so their scans overlap on any core count.
-  std::latch start(clerks);
+  rt::StartLine start(clerks);
   auto clerk = [&](int id) {
     Rng rng(seed * 2654435761u + static_cast<std::uint64_t>(id));
     start.arrive_and_wait();

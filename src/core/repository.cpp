@@ -1,6 +1,9 @@
 #include "pdcu/core/repository.hpp"
 
+#include <iterator>
 #include <optional>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "pdcu/core/activity_io.hpp"
@@ -13,8 +16,31 @@ namespace pdcu::core {
 Repository::Repository(std::vector<Activity> activities)
     : activities_(std::move(activities)),
       index_(tax::TaxonomyConfig::pdcunplugged()) {
+  // Slug -> its first page and, once the slug repeats, every tag its pages
+  // carried so far: a repeated slug's page must not list again under a
+  // term an earlier page of that slug already holds.
+  struct SlugSeen {
+    const Activity* first = nullptr;
+    tax::PageTags listed;
+  };
+  std::unordered_map<std::string_view, SlugSeen> by_slug;
+  by_slug.reserve(activities_.size());
   for (const auto& activity : activities_) {
-    index_.add_page(activity.page_ref(), activity.tags());
+    auto [seen, fresh] = by_slug.try_emplace(activity.slug);
+    if (fresh) {
+      seen->second.first = &activity;
+      index_.add_page(activity.page_ref(), activity.tags());
+      continue;
+    }
+    tax::PageTags& listed = seen->second.listed;
+    if (listed.empty()) listed = seen->second.first->tags();
+    tax::PageTags tags = activity.tags();
+    index_.add_page(activity.page_ref(), tags, listed);
+    for (auto& [key, terms] : tags) {
+      auto& into = listed[key];
+      into.insert(into.end(), std::make_move_iterator(terms.begin()),
+                  std::make_move_iterator(terms.end()));
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <deque>
 #include <thread>
 
+#include "pdcu/runtime/start_line.hpp"
 #include "pdcu/support/rng.hpp"
 
 namespace pdcu::ext {
@@ -332,9 +333,12 @@ TransferResult bank_transfer_race(int trials, bool transactional,
     std::atomic<std::int64_t> account_b{0};
     std::mutex transaction;
 
+    // Tellers start together, so their transfers overlap on any core count.
+    rt::StartLine start(2);
     auto teller = [&](int id) {
       Rng rng(seed + static_cast<std::uint64_t>(trial) * 131 +
               static_cast<std::uint64_t>(id));
+      start.arrive_and_wait();
       if (transactional) {
         std::lock_guard lock(transaction);
         account_a.store(account_a.load() - 10);

@@ -58,7 +58,7 @@ class ThreadPool {
       futures.push_back(submit([&leaf, lo, hi] { return leaf(lo, hi); }));
     }
     T result = identity;
-    for (auto& future : futures) result = op(result, future.get());
+    for (auto& future : futures) result = op(std::move(result), future.get());
     return result;
   }
 

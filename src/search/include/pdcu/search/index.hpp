@@ -14,10 +14,11 @@
 // from the page cache without materializing a single heap posting.
 //
 // Construction can run in parallel on the existing rt::ThreadPool: each
-// block of documents builds a local term map, and blocks merge in document
-// order, so the result is bit-identical to a serial build. Queries are
-// const and lock-free on the index itself (an optional FilterCache takes a
-// shared lock), so any number of server threads can search one index
+// block of documents interns its terms into a local vocabulary and emits
+// term-sorted posting lists, and blocks merge in document order, so the
+// result is bit-identical to a serial build. Queries are const and
+// lock-free on the index itself (an optional FilterCache takes a shared
+// lock), so any number of server threads can search one index
 // concurrently; with a pool in SearchOptions, one query additionally
 // shards across workers (per-shard top-k, deterministic merge).
 //

@@ -6,8 +6,9 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
-#include <map>
 #include <numeric>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "pdcu/obs/span.hpp"
@@ -66,7 +67,15 @@ void put_str(std::string& out, std::string_view s) {
 /// (the post-header section of the on-disk format, see serialize.hpp).
 std::string encode_payload(const std::vector<DocEntry>& docs,
                            const std::vector<TermPostings>& terms) {
+  std::size_t size = 8;
+  for (const auto& doc : docs) {
+    size += 24 + doc.slug.size() + doc.title.size() + doc.body.size();
+  }
+  for (const auto& entry : terms) {
+    size += 8 + entry.term.size() + kPostingBytes * entry.postings.size();
+  }
   std::string out;
+  out.reserve(size);
   put_u32(out, static_cast<std::uint32_t>(docs.size()));
   for (const auto& doc : docs) {
     put_str(out, doc.slug);
@@ -198,18 +207,31 @@ std::string tag_text(const core::Activity& activity) {
   return text;
 }
 
-using BlockMap = std::map<std::string, std::vector<Posting>, std::less<>>;
+/// Heterogeneous string hashing, so a tokenizer's string_view looks up a
+/// std::string key without building one.
+struct TermHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view term) const {
+    return std::hash<std::string_view>{}(term);
+  }
+};
 
 /// Indexes documents [lo, hi), writing DocEntry rows in place and returning
-/// the block's term map. Safe to run concurrently on disjoint ranges.
-/// Tokenization streams through TokenWalker and term maps use heterogeneous
-/// lookup, so a term's text is only copied to the heap the first time the
-/// block sees it — tokenizing dominates build time at corpus scale.
-BlockMap index_block(const core::Repository& repo, std::vector<DocEntry>& docs,
-                     std::size_t lo, std::size_t hi) {
-  BlockMap block;
+/// the block's postings sorted by term. Safe to run concurrently on
+/// disjoint ranges. Each distinct term is copied to the heap once per
+/// block: the block vocabulary interns it to a dense id, a document's
+/// frequencies accumulate in an id-indexed array (reset through the list
+/// of ids the document touched), and postings append per id. The
+/// vocabulary is sorted once, at the end.
+std::vector<TermPostings> index_block(const core::Repository& repo,
+                                      std::vector<DocEntry>& docs,
+                                      std::size_t lo, std::size_t hi) {
   const auto& activities = repo.activities();
-  std::map<std::string, Posting, std::less<>> per_doc;
+  std::unordered_map<std::string, std::uint32_t, TermHash, std::equal_to<>>
+      vocabulary;
+  std::vector<std::vector<Posting>> postings;  // by term id
+  std::vector<Posting> doc_tf;  // by term id; all zero between documents
+  std::vector<std::uint32_t> touched;  // term ids the document reached
   for (std::size_t d = lo; d < hi; ++d) {
     const auto& activity = activities[d];
     DocEntry& entry = docs[d];
@@ -217,20 +239,25 @@ BlockMap index_block(const core::Repository& repo, std::vector<DocEntry>& docs,
     entry.title = activity.title;
     entry.body = body_text(activity);
 
-    per_doc.clear();
-    const auto doc_id = static_cast<std::uint32_t>(d);
-    const auto index_field = [&per_doc, doc_id](std::string_view text,
-                                                std::uint16_t Posting::*tf) {
+    const auto index_field = [&](std::string_view text,
+                                 std::uint16_t Posting::*tf) {
       std::uint32_t length = 0;
       TokenWalker walker(text);
       while (walker.next()) {
         ++length;
-        auto it = per_doc.find(walker.term());
-        if (it == per_doc.end()) {
-          it = per_doc.emplace(std::string(walker.term()), Posting{}).first;
+        auto it = vocabulary.find(walker.term());
+        if (it == vocabulary.end()) {
+          const auto id = static_cast<std::uint32_t>(postings.size());
+          it = vocabulary.emplace(std::string(walker.term()), id).first;
+          postings.emplace_back();
+          doc_tf.emplace_back();
         }
-        it->second.doc = doc_id;
-        bump(it->second.*tf);
+        Posting& posting = doc_tf[it->second];
+        if (posting.tf_title == 0 && posting.tf_tags == 0 &&
+            posting.tf_body == 0) {
+          touched.push_back(it->second);
+        }
+        bump(posting.*tf);
       }
       return length;
     };
@@ -238,26 +265,53 @@ BlockMap index_block(const core::Repository& repo, std::vector<DocEntry>& docs,
     entry.len_tags = index_field(tag_text(activity), &Posting::tf_tags);
     entry.len_body = index_field(entry.body, &Posting::tf_body);
 
-    for (const auto& [term, posting] : per_doc) {
-      const auto it = block.find(term);
-      if (it != block.end()) {
-        it->second.push_back(posting);
-      } else {
-        block.emplace(term, std::vector<Posting>{posting});
-      }
+    for (const std::uint32_t id : touched) {
+      Posting& posting = doc_tf[id];
+      posting.doc = static_cast<std::uint32_t>(d);
+      postings[id].push_back(posting);
+      posting = Posting{};
     }
+    touched.clear();
+  }
+
+  std::vector<std::pair<std::string_view, std::uint32_t>> sorted(
+      vocabulary.begin(), vocabulary.end());
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<TermPostings> block;
+  block.reserve(sorted.size());
+  for (const auto& [term, id] : sorted) {
+    block.push_back({std::string(term), std::move(postings[id])});
   }
   return block;
 }
 
-/// Appends `right` onto `left`. Blocks cover ascending document ranges and
-/// parallel_reduce combines in index order, so postings stay sorted by doc.
-BlockMap merge_blocks(BlockMap left, BlockMap right) {
-  for (auto& [term, postings] : right) {
-    auto& target = left[term];
-    target.insert(target.end(), postings.begin(), postings.end());
+/// Appends `right` onto `left`, both sorted by term. Blocks cover
+/// ascending document ranges and parallel_reduce combines in index order,
+/// so each term's postings stay sorted by doc.
+std::vector<TermPostings> merge_blocks(std::vector<TermPostings> left,
+                                       std::vector<TermPostings> right) {
+  if (left.empty()) return right;
+  std::vector<TermPostings> merged;
+  merged.reserve(left.size() + right.size());
+  auto l = left.begin();
+  auto r = right.begin();
+  while (l != left.end() && r != right.end()) {
+    if (l->term < r->term) {
+      merged.push_back(std::move(*l++));
+    } else if (r->term < l->term) {
+      merged.push_back(std::move(*r++));
+    } else {
+      l->postings.insert(l->postings.end(), r->postings.begin(),
+                         r->postings.end());
+      merged.push_back(std::move(*l++));
+      ++r;
+    }
   }
-  return left;
+  merged.insert(merged.end(), std::make_move_iterator(l),
+                std::make_move_iterator(left.end()));
+  merged.insert(merged.end(), std::make_move_iterator(r),
+                std::make_move_iterator(right.end()));
+  return merged;
 }
 
 }  // namespace
@@ -339,26 +393,21 @@ SearchIndex SearchIndex::build(const core::Repository& repo,
   const std::size_t n = repo.activities().size();
   std::vector<DocEntry> docs(n);
 
-  BlockMap merged;
+  std::vector<TermPostings> terms;
   if (pool != nullptr && pool->size() > 1 && n > 1) {
-    merged = pool->parallel_reduce<BlockMap>(
-        0, n, BlockMap{},
+    terms = pool->parallel_reduce<std::vector<TermPostings>>(
+        0, n, {},
         [&repo, &docs](std::size_t lo, std::size_t hi) {
           return index_block(repo, docs, lo, hi);
         },
-        [](BlockMap left, BlockMap right) {
+        [](std::vector<TermPostings> left, std::vector<TermPostings> right) {
           return merge_blocks(std::move(left), std::move(right));
         });
   } else {
-    merged = index_block(repo, docs, 0, n);
+    terms = index_block(repo, docs, 0, n);
   }
 
   const auto indexed = std::chrono::steady_clock::now();
-  std::vector<TermPostings> terms;
-  terms.reserve(merged.size());
-  for (auto& [term, postings] : merged) {
-    terms.push_back({term, std::move(postings)});
-  }
   auto index = from_payload(encode_payload(docs, terms));
   // A freshly built index satisfies every invariant by construction.
   SearchIndex result = std::move(index).value();

@@ -44,8 +44,13 @@ class Router {
   /// Builds the dispatch table. `index` lets callers supply a prebuilt
   /// search index (parallel-built, or loaded from disk for a fast cold
   /// start); omitted, the router builds one serially from `repo`.
+  /// `/api/catalog.json` serves the site's own `index.json`. `previous` is
+  /// the page cache of the snapshot this router replaces (a live reload
+  /// passes the serving router's): cached documents whose bytes did not
+  /// change are shared with it instead of copied and re-hashed.
   Router(const site::Site& site, const core::Repository& repo,
-         std::optional<search::SearchIndex> index = std::nullopt);
+         std::optional<search::SearchIndex> index = std::nullopt,
+         const PageCache* previous = nullptr);
 
   /// Wires the /metrics endpoint; without it /metrics is a 404. The
   /// pointee must outlive the router (HttpServer passes its own metrics).

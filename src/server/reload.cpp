@@ -1,9 +1,11 @@
 #include "pdcu/server/reload.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "pdcu/core/repository.hpp"
+#include "pdcu/obs/span.hpp"
 #include "pdcu/runtime/thread_pool.hpp"
 #include "pdcu/search/index.hpp"
 #include "pdcu/support/fs.hpp"
@@ -95,7 +97,10 @@ ReloadManager::Step ReloadManager::attempt_reload(
   metrics_.record_attempt();
   if (!fingerprint.has_value()) return fail(fingerprint.error());
 
-  auto loaded = core::Repository::load_lenient(content_dir_);
+  auto loaded = [this] {
+    obs::ScopedSpan span(spans_, "core.load");
+    return core::Repository::load_lenient(content_dir_);
+  }();
   if (!loaded) return fail(loaded.error());
   core::LoadReport& report = loaded.value();
   if (report.total_files > 0 && report.loaded() == 0) {
@@ -119,11 +124,16 @@ ReloadManager::Step ReloadManager::attempt_reload(
 
   auto index = search::SearchIndex::build(report.repository,
                                           &rt::default_pool(), spans_);
-  Router router(site, report.repository, std::move(index));
-  // Everything the live snapshot was wired with (gossip, search pool,
-  // spans, ...) carries over; the health and reload metrics this manager
-  // updates are wired in on top.
-  router.inherit_wiring(*server_.router());
+  // The live snapshot lends the new one its unchanged cached pages, and
+  // everything it was wired with (gossip, search pool, spans, ...) carries
+  // over; the health and reload metrics this manager updates are wired in
+  // on top.
+  const std::shared_ptr<const Router> live = server_.router();
+  Router router = [&] {
+    obs::ScopedSpan span(spans_, "server.router_build");
+    return Router(site, report.repository, std::move(index), &live->cache());
+  }();
+  router.inherit_wiring(*live);
   router.set_build_stats(stats);
   router.set_health(&health_);
   router.set_reload_metrics(&metrics_);

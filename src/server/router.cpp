@@ -119,16 +119,18 @@ std::string query_cache_metrics_text(const QueryCache& cache) {
 }  // namespace
 
 Router::Router(const site::Site& site, const core::Repository& repo,
-               std::optional<search::SearchIndex> index)
-    : cache_(site),
+               std::optional<search::SearchIndex> index,
+               const PageCache* previous)
+    : cache_(site, previous),
       index_(index.has_value() ? std::move(*index)
                                : search::SearchIndex::build(repo)),
       taxonomy_(repo.index()) {
-  cache_.put("api/catalog.json", site::render_json_catalog(repo),
-             std::string(kJsonType));
+  // The site build already rendered the catalog as index.json.
+  cache_.alias("api/catalog.json", "index.json");
   for (const auto& activity : repo.activities()) {
     cache_.put("api/activities/" + activity.slug + ".json",
-               site::activity_json(activity), std::string(kJsonType));
+               site::activity_json(activity), std::string(kJsonType),
+               previous);
   }
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "pdcu/core/activity_io.hpp"
@@ -103,6 +105,11 @@ class Fingerprint {
     state_ = hash::fnv1a_64_update(state_, std::string_view("\x1f", 1));
     return *this;
   }
+  /// Mixes another fingerprint's digest, standing in for its bytes.
+  Fingerprint& mix(std::uint64_t digest) {
+    return mix(std::string_view(reinterpret_cast<const char*>(&digest),
+                                sizeof digest));
+  }
   std::uint64_t value() const { return state_; }
 
  private:
@@ -159,10 +166,12 @@ std::string search_page_body() {
 /// activities, term pages, views, search, catalog. Each job's fingerprint
 /// covers exactly the inputs its bytes depend on, so body-only edits leave
 /// term/view pages untouched while title or membership changes invalidate
-/// them.
+/// them. `digests[i]` fingerprints `serialized[i]` and stands in for its
+/// bytes.
 std::vector<PageJob> plan_jobs(const core::Repository& repo,
                                const SiteOptions& options,
-                               const std::vector<std::string>& serialized) {
+                               const std::vector<std::string>& serialized,
+                               const std::vector<std::uint64_t>& digests) {
   const auto& activities = repo.activities();
   std::vector<PageJob> jobs;
   jobs.reserve(activities.size() + 256);
@@ -201,7 +210,7 @@ std::vector<PageJob> plan_jobs(const core::Repository& repo,
     const core::Activity* activity = &activities[i];
     const std::string* text = &serialized[i];
     Fingerprint fp = opts_fp;
-    fp.mix(*text);
+    fp.mix(digests[i]);
     jobs.push_back({"activities/" + activity->slug + "/index.html",
                     fp.value(), [activity, text, &options] {
                       return layout(options.base_title, activity->title,
@@ -217,7 +226,8 @@ std::vector<PageJob> plan_jobs(const core::Repository& repo,
       for (const auto& term : repo.index().terms(taxonomy.key)) {
         Fingerprint fp = opts_fp;
         fp.mix(taxonomy.key).mix(taxonomy.display_name).mix(term);
-        for (const auto& page : repo.index().pages(taxonomy.key, term)) {
+        for (const auto& page :
+             *repo.index().find_pages(taxonomy.key, term)) {
           fp.mix(page.slug).mix(page.title);
         }
         jobs.push_back(
@@ -310,7 +320,7 @@ std::vector<PageJob> plan_jobs(const core::Repository& repo,
   // of which the serializations capture.
   {
     Fingerprint fp;
-    for (const auto& text : serialized) fp.mix(text);
+    for (const std::uint64_t digest : digests) fp.mix(digest);
     jobs.push_back({"index.json", fp.value(),
                     [&repo] { return render_json_catalog(repo); }});
   }
@@ -326,11 +336,13 @@ Site build_pipeline(const core::Repository& repo, const SiteOptions& options,
   const auto start = std::chrono::steady_clock::now();
   const auto& activities = repo.activities();
 
-  // --- parse: serialize every activity, then fingerprint and plan ------
+  // --- parse: serialize and digest every activity, then plan -----------
   std::vector<std::string> serialized(activities.size());
+  std::vector<std::uint64_t> digests(activities.size());
   const auto serialize_block = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       serialized[i] = core::write_activity(activities[i]);
+      digests[i] = Fingerprint().mix(serialized[i]).value();
     }
   };
   if (options.pool != nullptr) {
@@ -338,7 +350,25 @@ Site build_pipeline(const core::Repository& repo, const SiteOptions& options,
   } else {
     serialize_block(0, activities.size());
   }
-  std::vector<PageJob> jobs = plan_jobs(repo, options, serialized);
+  std::vector<PageJob> jobs = plan_jobs(repo, options, serialized, digests);
+  // Every job owns one cache entry, keyed by its path. A path planned
+  // again (two activities sharing a slug) keys its n-th repeat as
+  // "<path>\0<n>", so the two pages neither reuse each other's bytes nor
+  // move out of one entry.
+  std::vector<std::string> repeat_keys(jobs.size());
+  if (cache_pages != nullptr) {
+    std::unordered_map<std::string_view, std::size_t> seen;
+    seen.reserve(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const std::size_t repeat = seen[jobs[i].path]++;
+      if (repeat > 0) {
+        repeat_keys[i] = jobs[i].path + '\0' + std::to_string(repeat);
+      }
+    }
+  }
+  const auto cache_key = [&](std::size_t i) -> const std::string& {
+    return repeat_keys[i].empty() ? jobs[i].path : repeat_keys[i];
+  };
   const auto parsed = std::chrono::steady_clock::now();
 
   // --- render: each page is an independent task writing its own slot, so
@@ -355,7 +385,7 @@ Site build_pipeline(const core::Repository& repo, const SiteOptions& options,
         // Distinct tasks touch distinct map entries and nothing inserts
         // or erases during the render phase, so no synchronization is
         // needed around the moves.
-        const auto it = cache_pages->find(job.path);
+        const auto it = cache_pages->find(cache_key(i));
         if (it != cache_pages->end() &&
             it->second.fingerprint == job.fingerprint) {
           site.pages[i].html = std::move(it->second.html);
@@ -379,7 +409,7 @@ Site build_pipeline(const core::Repository& repo, const SiteOptions& options,
     cache_pages->clear();
     cache_pages->reserve(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-      (*cache_pages)[site.pages[i].path] =
+      (*cache_pages)[cache_key(i)] =
           BuildCache::Entry{jobs[i].fingerprint, site.pages[i].html};
     }
   }

@@ -50,7 +50,10 @@ class TaxonomyConfig {
   std::optional<Taxonomy> find(std::string_view key) const;
 
   bool is_taxonomy_key(std::string_view key) const {
-    return find(key).has_value();
+    for (const auto& t : taxonomies_) {
+      if (t.key == key) return true;
+    }
+    return false;
   }
 
   void add(Taxonomy taxonomy) { taxonomies_.push_back(std::move(taxonomy)); }

@@ -32,8 +32,12 @@ class TermIndex {
 
   /// Indexes one page. Unknown taxonomy keys in `tags` are ignored (they are
   /// ordinary front-matter fields, not taxonomies). Duplicate terms on the
-  /// same page index once.
-  void add_page(const PageRef& page, const PageTags& tags);
+  /// same page index once. A page lists under a term at most once per slug:
+  /// when an earlier page had the same slug, `listed` must hold every tag
+  /// those earlier pages carried, and this page skips those terms. Cost is
+  /// independent of how many pages a term already lists.
+  void add_page(const PageRef& page, const PageTags& tags,
+                const PageTags& listed = {});
 
   /// All terms of a taxonomy, sorted; empty for unknown taxonomies.
   std::vector<std::string> terms(std::string_view taxonomy) const;

@@ -6,16 +6,24 @@
 
 namespace pdcu::tax {
 
-void TermIndex::add_page(const PageRef& page, const PageTags& tags) {
+void TermIndex::add_page(const PageRef& page, const PageTags& tags,
+                         const PageTags& listed) {
   ++total_pages_;
   for (const auto& [key, terms] : tags) {
     if (!config_.is_taxonomy_key(key)) continue;
+    const auto listed_terms = listed.find(key);
     auto& term_map = index_[key];
     for (const auto& term : terms) {
-      auto& pages = term_map[term];
-      if (std::find(pages.begin(), pages.end(), page) == pages.end()) {
-        pages.push_back(page);
+      if (listed_terms != listed.end() &&
+          std::find(listed_terms->second.begin(), listed_terms->second.end(),
+                    term) != listed_terms->second.end()) {
+        continue;
       }
+      // With the `listed` terms skipped, no earlier page on this list has
+      // this page's slug: only a repeat of the term on this page can have
+      // listed it already, and that entry is the last one.
+      auto& pages = term_map[term];
+      if (pages.empty() || !(pages.back() == page)) pages.push_back(page);
     }
   }
 }

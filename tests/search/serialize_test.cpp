@@ -8,10 +8,14 @@
 #include <filesystem>
 
 #include "pdcu/core/repository.hpp"
+#include "pdcu/runtime/thread_pool.hpp"
+#include "pdcu/search/corpus.hpp"
 #include "pdcu/search/query.hpp"
+#include "pdcu/support/hash.hpp"
 
 namespace search = pdcu::search;
 namespace core = pdcu::core;
+namespace rt = pdcu::rt;
 
 namespace {
 
@@ -101,4 +105,36 @@ TEST(IndexSerialize, EmptyIndexRoundTrips) {
   ASSERT_TRUE(loaded.has_value()) << loaded.error().message;
   EXPECT_EQ(loaded.value().doc_count(), 0u);
   EXPECT_EQ(loaded.value().term_count(), 0u);
+}
+
+namespace {
+
+/// FNV-1a of the serialized index built from `repo` serially and on pools
+/// of 2 and 4 workers; every build must produce the same bytes.
+std::uint64_t serialized_fnv(const core::Repository& repo) {
+  const std::uint64_t serial = pdcu::hash::fnv1a_64(
+      search::serialize_index(search::SearchIndex::build(repo)));
+  for (unsigned threads : {2u, 4u}) {
+    rt::ThreadPool pool(threads);
+    EXPECT_EQ(pdcu::hash::fnv1a_64(search::serialize_index(
+                  search::SearchIndex::build(repo, &pool))),
+              serial)
+        << threads << " workers";
+  }
+  return serial;
+}
+
+}  // namespace
+
+// The on-disk bytes of a built index are pinned: a change to the index
+// builder must reproduce them exactly. The builtin value moves only with
+// a deliberate edit of data/activities/*.md.
+TEST(IndexSerialize, BuiltinBytesArePinned) {
+  EXPECT_EQ(serialized_fnv(core::Repository::builtin()),
+            0x4df50b5f63d16806ull);
+}
+
+TEST(IndexSerialize, SyntheticCorpusBytesArePinned) {
+  EXPECT_EQ(serialized_fnv(search::corpus::synthetic_repository({2000, 7})),
+            0xd2dc6b98c49b4cc9ull);
 }

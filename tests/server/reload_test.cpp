@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 
+#include "pdcu/core/activity_io.hpp"
 #include "pdcu/core/repository.hpp"
 #include "pdcu/obs/span.hpp"
 #include "pdcu/server/server.hpp"
@@ -47,6 +48,18 @@ void grow(const std::filesystem::path& dir, const std::string& slug) {
   auto text = fs::read_file(path);
   ASSERT_TRUE(text.has_value());
   EXPECT_TRUE(fs::write_file(path, text.value() + "\n<!-- touched -->\n"));
+}
+
+/// A contributor's edit: appends a paragraph to one activity's body.
+void edit_body(const std::filesystem::path& dir, const std::string& slug,
+               const std::string& paragraph) {
+  auto path = dir / "activities" / (slug + ".md");
+  auto text = fs::read_file(path);
+  ASSERT_TRUE(text.has_value());
+  auto activity = core::parse_activity(text.value());
+  ASSERT_TRUE(activity.has_value());
+  activity.value().details += "\n\n" + paragraph + "\n";
+  EXPECT_TRUE(fs::write_file(path, core::write_activity(activity.value())));
 }
 
 /// Everything a ReloadManager needs, wired against a stopped server (the
@@ -171,6 +184,51 @@ TEST(ReloadManager, ReloadedSnapshotKeepsTheLiveWiring) {
   EXPECT_TRUE(strs::contains(metrics.body, "span=\"wired.span\""));
   // The reload manager's own wiring lands on top of what carried over.
   EXPECT_TRUE(strs::contains(metrics.body, "pdcu_reload_"));
+}
+
+TEST(ReloadManager, EveryPublishStageIsTimedOnMetrics) {
+  // /metrics splits a reload into the same stages as the benchmark's
+  // build layer: load, site rebuild, index build, router build.
+  auto dir = fresh_content_dir("pdcu_reload_spans");
+  pdcu::obs::SpanRegistry spans;
+  Fixture fx(dir, {.backoff_initial = std::chrono::milliseconds(0)},
+             [&](server::Router& router) { router.set_spans(&spans); });
+  fx.manager->set_spans(&spans);
+  grow(dir, "findsmallestcard");
+  ASSERT_EQ(fx.manager->check_once(), server::ReloadManager::Step::kReloaded);
+
+  const auto metrics = fx.http->router()->handle(get("/metrics"));
+  for (const char* span :
+       {"core.load", "site.total", "search.build", "server.router_build"}) {
+    ASSERT_NE(spans.find(span), nullptr) << span;
+    EXPECT_EQ(spans.find(span)->count(), 1u) << span;
+    EXPECT_TRUE(strs::contains(metrics.body,
+                               "span=\"" + std::string(span) + "\""))
+        << span;
+  }
+}
+
+TEST(ReloadManager, ReloadSharesUnchangedPagesWithTheLiveSnapshot) {
+  auto dir = fresh_content_dir("pdcu_reload_shared_pages");
+  Fixture fx(dir);
+  const auto before = fx.http->router();
+  edit_body(dir, "findsmallestcard", "A revised classroom note.");
+  ASSERT_EQ(fx.manager->check_once(), server::ReloadManager::Step::kReloaded);
+  const auto after = fx.http->router();
+  ASSERT_NE(before, after);
+
+  // A body edit leaves the index page's bytes alone: same entry object.
+  EXPECT_EQ(after->cache().find("/"), before->cache().find("/"));
+  EXPECT_EQ(after->cache().find("/activities/sortingnetworks/"),
+            before->cache().find("/activities/sortingnetworks/"));
+  // The edited page is a new entry with a new ETag.
+  const auto* edited = after->cache().find("/activities/findsmallestcard/");
+  const auto* old = before->cache().find("/activities/findsmallestcard/");
+  ASSERT_NE(edited, nullptr);
+  ASSERT_NE(old, nullptr);
+  EXPECT_NE(edited, old);
+  EXPECT_NE(edited->etag, old->etag);
+  EXPECT_TRUE(strs::contains(edited->body, "A revised classroom note."));
 }
 
 TEST(ReloadManager, PartialQuarantineSwapsInDegradedSite) {

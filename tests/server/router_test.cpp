@@ -86,6 +86,49 @@ TEST(PageCache, CachesEveryPageOfABuiltSite) {
   EXPECT_FALSE(entry->etag.empty());
 }
 
+TEST(PageCache, SharesUnchangedEntriesWithThePreviousCache) {
+  // An entry whose path and bytes are unchanged is the previous cache's
+  // very object, so its ETag is unchanged too; an edited page gets a new
+  // entry and a new ETag.
+  server::PageCache previous;
+  previous.put("a.html", "same", "text/html; charset=utf-8");
+  previous.put("b.html", "old", "text/html; charset=utf-8");
+  previous.put("c.txt", "same", "text/plain");
+  server::PageCache next;
+  next.put("a.html", "same", "text/html; charset=utf-8", &previous);
+  next.put("b.html", "new", "text/html; charset=utf-8", &previous);
+  next.put("c.txt", "same", "text/html; charset=utf-8", &previous);
+  next.put("d.html", "same", "text/html; charset=utf-8", &previous);
+
+  EXPECT_EQ(next.find("/a.html"), previous.find("/a.html"));
+  EXPECT_NE(next.find("/b.html"), previous.find("/b.html"));
+  EXPECT_NE(next.find("/b.html")->etag, previous.find("/b.html")->etag);
+  EXPECT_EQ(next.find("/b.html")->etag, server::strong_etag("new"));
+  // Same bytes under another content type or another path: not shared.
+  EXPECT_NE(next.find("/c.txt"), previous.find("/c.txt"));
+  EXPECT_EQ(next.find("/c.txt")->content_type, "text/html; charset=utf-8");
+  EXPECT_NE(next.find("/d.html"), previous.find("/a.html"));
+  EXPECT_EQ(next.total_bytes(), 4u + 3u + 4u + 4u);
+}
+
+TEST(PageCache, SiteCacheSharesEveryPageOfAnUnchangedSite) {
+  const auto built = site::build_site(core::Repository::builtin());
+  const server::PageCache previous(built);
+  const server::PageCache next(built, &previous);
+  for (const auto& page : built.pages) {
+    EXPECT_EQ(next.find(page.path), previous.find(page.path)) << page.path;
+  }
+}
+
+TEST(PageCache, AliasServesOneEntryAtTwoPaths) {
+  server::PageCache cache;
+  cache.put("index.json", "{}", "application/json; charset=utf-8");
+  EXPECT_TRUE(cache.alias("api/catalog.json", "index.json"));
+  EXPECT_EQ(cache.find("/api/catalog.json"), cache.find("/index.json"));
+  EXPECT_FALSE(cache.alias("api/other.json", "missing.json"));
+  EXPECT_EQ(cache.find("/api/other.json"), nullptr);
+}
+
 TEST(Router, ServesIndexAndActivityPages) {
   const auto response = router().handle(get("/"));
   EXPECT_EQ(response.status, 200);
@@ -106,6 +149,15 @@ TEST(Router, ServesTheJsonCatalog) {
             "application/json; charset=utf-8");
   EXPECT_TRUE(strs::contains(response.body, "\"activities\""));
   EXPECT_TRUE(strs::contains(response.body, "findsmallestcard"));
+}
+
+TEST(Router, CatalogIsTheSitesIndexJson) {
+  const auto& repo = core::Repository::builtin();
+  const auto built = site::build_site(repo);
+  const server::Router router(built, repo);
+  const auto* index_json = built.find("index.json");
+  ASSERT_NE(index_json, nullptr);
+  EXPECT_EQ(router.handle(get("/api/catalog.json")).body, index_json->html);
 }
 
 TEST(Router, ServesPerActivityJson) {

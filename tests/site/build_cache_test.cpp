@@ -4,6 +4,8 @@
 // would, re-rendering only pages whose inputs changed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "pdcu/core/repository.hpp"
 #include "pdcu/runtime/thread_pool.hpp"
 #include "pdcu/site/site.hpp"
@@ -171,4 +173,54 @@ TEST(BuildCache, BaseTitleChangeInvalidatesEveryHtmlPage) {
   expect_identical(site::build_site(repo(), options), rebranded);
   // Every HTML page embeds the site title; only index.json is reusable.
   EXPECT_EQ(stats.pages_reused, 1u);
+}
+
+namespace {
+
+/// The builtin curation plus two activities whose slug repeats an earlier
+/// one, as happens when files on disk have titles that slugify alike: an
+/// exact copy of `copied`, and `other` under `renamed`'s slug.
+core::Repository repo_with_repeated_slugs(std::string_view copied,
+                                          std::string_view renamed,
+                                          std::string_view other) {
+  std::vector<core::Activity> activities = repo().activities();
+  const auto find = [&](std::string_view slug) {
+    return *std::find_if(activities.begin(), activities.end(),
+                         [&](const auto& a) { return a.slug == slug; });
+  };
+  core::Activity copy = find(copied);
+  core::Activity different = find(other);
+  different.slug = std::string(renamed);
+  activities.push_back(std::move(copy));
+  activities.push_back(std::move(different));
+  return core::Repository(std::move(activities));
+}
+
+}  // namespace
+
+TEST(BuildCache, RepeatedPathsKeepTheirOwnEntries) {
+  // Two pages planned at one path each own a cache entry: an unchanged
+  // rebuild renders nothing, and neither page comes back empty (a shared
+  // entry hands its bytes to the first page and an empty string to the
+  // second, or re-renders whichever page did not write it last).
+  const core::Repository repeated = repo_with_repeated_slugs(
+      "findsmallestcard", "arraysummationwithcards", "byzantinegenerals");
+  const site::Site cold = site::build_site(repeated);
+  for (rt::ThreadPool* pool : {static_cast<rt::ThreadPool*>(nullptr),
+                               &rt::default_pool()}) {
+    site::SiteOptions options;
+    options.pool = pool;
+    site::BuildCache cache;
+    site::rebuild(repeated, cache, options);
+    for (int round = 0; round < 2; ++round) {
+      site::BuildStats stats;
+      const site::Site warm = site::rebuild(repeated, cache, options, &stats);
+      SCOPED_TRACE(pool == nullptr ? "serial" : "pooled");
+      EXPECT_EQ(stats.pages_rendered, 0u) << "round " << round;
+      for (const auto& page : warm.pages) {
+        EXPECT_FALSE(page.html.empty()) << page.path;
+      }
+      expect_identical(cold, warm);
+    }
+  }
 }

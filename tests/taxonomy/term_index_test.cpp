@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "pdcu/core/repository.hpp"
 
@@ -126,4 +131,92 @@ TEST(TermIndex, FindPagesReturnsPointerWithoutCopying) {
 
   EXPECT_EQ(index.find_pages("courses", "NoSuchTerm"), nullptr);
   EXPECT_EQ(index.find_pages("notataxonomy", "CS1"), nullptr);
+}
+
+TEST(TermIndex, RepeatedSlugListsUnderATermOnce) {
+  // Two distinct pages share the slug "dup". A term lists the slug once,
+  // as the first page that carried it; a term only the second page
+  // carries lists the second page.
+  tax::TermIndex index(tax::TaxonomyConfig::pdcunplugged());
+  const tax::PageTags first = {{"courses", {"CS1", "CS2"}}};
+  index.add_page({"dup", "First"}, first);
+  index.add_page({"other", "Other"}, {{"courses", {"CS1"}}});
+  index.add_page({"dup", "Second"}, {{"courses", {"CS1", "DSA", "DSA"}}},
+                 first);
+
+  const auto cs1 = index.pages("courses", "CS1");
+  ASSERT_EQ(cs1.size(), 2u);
+  EXPECT_EQ(cs1[0].title, "First");
+  EXPECT_EQ(cs1[1].slug, "other");
+  const auto cs2 = index.pages("courses", "CS2");
+  ASSERT_EQ(cs2.size(), 1u);
+  EXPECT_EQ(cs2[0].title, "First");
+  const auto dsa = index.pages("courses", "DSA");
+  ASSERT_EQ(dsa.size(), 1u);
+  EXPECT_EQ(dsa[0].title, "Second");
+  EXPECT_EQ(index.page_count(), 3u);
+}
+
+namespace {
+
+using Lists = std::map<std::pair<std::string, std::string>,
+                       std::vector<std::pair<std::string, std::string>>>;
+
+/// (taxonomy, term) -> (slug, title) of every listed page, built by the
+/// plain scan the index must agree with: a page joins a term's list
+/// unless a page with its slug is already on it.
+Lists scanned_lists(const std::vector<pdcu::core::Activity>& activities) {
+  const auto config = tax::TaxonomyConfig::pdcunplugged();
+  Lists lists;
+  for (const auto& activity : activities) {
+    for (const auto& [key, terms] : activity.tags()) {
+      if (!config.is_taxonomy_key(key)) continue;
+      for (const auto& term : terms) {
+        auto& pages = lists[{key, term}];
+        const bool listed =
+            std::any_of(pages.begin(), pages.end(), [&](const auto& page) {
+              return page.first == activity.slug;
+            });
+        if (!listed) pages.emplace_back(activity.slug, activity.title);
+      }
+    }
+  }
+  return lists;
+}
+
+Lists indexed_lists(const tax::TermIndex& index) {
+  Lists lists;
+  for (const auto& taxonomy : index.config().all()) {
+    for (const auto& term : index.terms(taxonomy.key)) {
+      auto& pages = lists[{taxonomy.key, term}];
+      for (const auto& page : index.pages(taxonomy.key, term)) {
+        pages.emplace_back(page.slug, page.title);
+      }
+    }
+  }
+  return lists;
+}
+
+}  // namespace
+
+TEST(TermIndex, RepositoryWithRepeatedSlugsMatchesAPlainScan) {
+  // Content loaded from disk derives slugs from titles, so distinct files
+  // can share one. Repeat every fourth activity's slug on a page carrying
+  // the next activity's tags (overlapping and new terms), and one more
+  // time as an exact copy.
+  std::vector<pdcu::core::Activity> activities =
+      pdcu::core::Repository::builtin().activities();
+  const std::size_t n = activities.size();
+  for (std::size_t i = 0; i + 1 < n; i += 4) {
+    pdcu::core::Activity repeat = activities[i + 1];
+    repeat.slug = activities[i].slug;
+    repeat.title = activities[i].title + " (copy)";
+    activities.push_back(std::move(repeat));
+  }
+  activities.push_back(activities.front());
+
+  const Lists expected = scanned_lists(activities);
+  const pdcu::core::Repository repo(activities);
+  EXPECT_EQ(indexed_lists(repo.index()), expected);
+  EXPECT_EQ(repo.index().page_count(), activities.size());
 }

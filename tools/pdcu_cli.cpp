@@ -798,7 +798,10 @@ int serve(pdcu::core::Repository repo, int argc, char** argv) {
     // Lenient load: malformed community content degrades the serving set
     // instead of keeping the whole site down.
     auto fingerprinted = pdcu::server::content_fingerprint(content_dir);
-    auto loaded = pdcu::core::Repository::load_lenient(content_dir);
+    auto loaded = [&] {
+      pdcu::obs::ScopedSpan span(&spans, "core.load");
+      return pdcu::core::Repository::load_lenient(content_dir);
+    }();
     if (!loaded) {
       std::fprintf(stderr, "%s\n", loaded.error().message.c_str());
       return 1;
@@ -849,7 +852,10 @@ int serve(pdcu::core::Repository repo, int argc, char** argv) {
   pdcu::site::BuildCache cache;
   const auto site =
       pdcu::site::rebuild(repo, cache, site_options, &build_stats);
-  pdcu::server::Router router(site, repo, std::move(index));
+  pdcu::server::Router router = [&] {
+    pdcu::obs::ScopedSpan span(&spans, "server.router_build");
+    return pdcu::server::Router(site, repo, std::move(index));
+  }();
   router.set_build_stats(build_stats);
   router.set_health(&health);
   router.set_spans(&spans);
