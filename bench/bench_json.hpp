@@ -10,8 +10,8 @@
 //     --benchmark_filter='^$'
 //
 //   * search_summary_json(): the canonical search-trajectory measurement
-//     (index build time + query-latency histogram over the query shapes
-//     the server actually issues). bench_search emits it; bench_gate
+//     (index build time + exact query-latency percentiles over the query
+//     shapes the server actually issues). bench_search emits it; bench_gate
 //     re-measures with the same code and compares against the committed
 //     BENCH_search.json, so the two can never measure different things.
 #pragma once
@@ -29,7 +29,6 @@
 #include "pdcu/core/repository.hpp"
 #include "pdcu/loadgen/bench_json.hpp"
 #include "pdcu/loadgen/schedule.hpp"
-#include "pdcu/obs/histogram.hpp"
 #include "pdcu/search/corpus.hpp"
 #include "pdcu/search/index.hpp"
 #include "pdcu/search/query.hpp"
@@ -57,7 +56,7 @@ inline void write_summary(const std::string& json) {
 }
 
 /// The canonical "search" trajectory document: serial index build time
-/// (best of `build_reps`) and a query-latency histogram over the three
+/// (best of `build_reps`) and exact query-latency percentiles over the three
 /// canonical query shapes — free text, multi-term, and taxonomy-filtered
 /// — each issued `query_reps` times against the builtin corpus.
 inline std::string search_summary_json(std::string_view source,
@@ -81,8 +80,7 @@ inline std::string search_summary_json(std::string_view source,
       "message passing network rounds",
       "message passing cs2013:PD-Communication",
   };
-  obs::Histogram query_us;
-  std::uint64_t max_us = 0;
+  loadgen::Samples query_us;
   const auto sweep_start = SteadyClock::now();
   for (const char* text : kQueries) {
     const auto query = search::parse_query(text);
@@ -94,7 +92,6 @@ inline std::string search_summary_json(std::string_view source,
               SteadyClock::now() - start)
               .count());
       query_us.record(us);
-      max_us = std::max(max_us, us);
       if (hits.empty()) {
         std::fprintf(stderr, "bench_json: query '%s' found nothing\n", text);
       }
@@ -103,7 +100,6 @@ inline std::string search_summary_json(std::string_view source,
   const double sweep_s =
       std::chrono::duration<double>(SteadyClock::now() - sweep_start)
           .count();
-  const auto snapshot = query_us.snapshot();
 
   loadgen::BenchWriter writer("search", source);
   writer.number("index_build_ms", build_ms);
@@ -111,52 +107,20 @@ inline std::string search_summary_json(std::string_view source,
                  static_cast<std::uint64_t>(repo.activities().size()));
   writer.integer("index_terms",
                  static_cast<std::uint64_t>(index.term_count()));
-  writer.integer("queries", snapshot.count);
+  writer.integer("queries", query_us.count());
   writer.number("queries_per_s",
                 sweep_s > 0.0
-                    ? static_cast<double>(snapshot.count) / sweep_s
+                    ? static_cast<double>(query_us.count()) / sweep_s
                     : 0.0);
   writer.open("query_us");
-  writer.integer("p50", snapshot.quantile(0.50));
-  writer.integer("p90", snapshot.quantile(0.90));
-  writer.integer("p99", snapshot.quantile(0.99));
-  writer.number("mean", snapshot.mean());
-  writer.integer("max", max_us);
+  writer.integer("p50", query_us.quantile(0.50));
+  writer.integer("p90", query_us.quantile(0.90));
+  writer.integer("p99", query_us.quantile(0.99));
+  writer.number("mean", query_us.mean());
+  writer.integer("max", query_us.max());
   writer.close();
   return writer.finish();
 }
-
-namespace detail {
-
-/// Exact empirical order statistics for bench-size sample sets. The
-/// obs::Histogram log buckets exist for lock-free capture on serving hot
-/// paths; at bench scale (hundreds of samples) exact quantiles cost
-/// nothing, and the committed speedup claims should not carry
-/// bucket-interpolation error (a 1.3 ms p99 must not report as 2048 us).
-struct Samples {
-  std::vector<std::uint64_t> values;
-
-  void record(std::uint64_t v) { values.push_back(v); }
-  std::size_t count() const { return values.size(); }
-
-  double mean() const {
-    if (values.empty()) return 0.0;
-    double sum = 0.0;
-    for (const std::uint64_t v : values) sum += static_cast<double>(v);
-    return sum / static_cast<double>(values.size());
-  }
-
-  /// Nearest-rank quantile over a sorted copy.
-  std::uint64_t quantile(double q) const {
-    if (values.empty()) return 0;
-    std::vector<std::uint64_t> sorted = values;
-    std::sort(sorted.begin(), sorted.end());
-    const double pos = q * static_cast<double>(sorted.size() - 1);
-    return sorted[static_cast<std::size_t>(pos + 0.5)];
-  }
-};
-
-}  // namespace detail
 
 /// The "search_scale" trajectory document: for each synthetic corpus size,
 /// exhaustive-vs-pruned (block-max WAND) ranking latency percentiles
@@ -237,7 +201,7 @@ inline std::string search_scale_summary_json(
     };
     const auto measure = [&](search::SearchOptions::Algo algo,
                              bool snippets) {
-      detail::Samples us;
+      loadgen::Samples us;
       for (const auto& text : queries) {
         const auto query = search::parse_query(text);
         search::SearchOptions options;
@@ -276,8 +240,8 @@ inline std::string search_scale_summary_json(
     // Cache pass: a Zipf-distributed stream over the query set through the
     // server's QueryCache, miss = real MaxScore query + insert.
     server::QueryCache cache(512);
-    detail::Samples hit_us;
-    detail::Samples miss_us;
+    loadgen::Samples hit_us;
+    loadgen::Samples miss_us;
     Rng rng(42);
     const loadgen::ZipfSampler query_zipf(queries.size(), 1.1);
     for (int request = 0; request < 2000; ++request) {
@@ -298,8 +262,6 @@ inline std::string search_scale_summary_json(
                 .count()));
       }
     }
-    const detail::Samples& hit = hit_us;
-    const detail::Samples& miss = miss_us;
 
     const double speedup =
         maxscore.quantile(0.99) > 0
@@ -329,10 +291,10 @@ inline std::string search_scale_summary_json(
     writer.integer("dense_pair_pruned_us", dense_best[1]);
     writer.integer("cache_hits", cache.hits());
     writer.integer("cache_misses", cache.misses());
-    writer.integer("cache_hit_p50_us", hit.quantile(0.50));
-    writer.integer("cache_hit_p99_us", hit.quantile(0.99));
-    writer.integer("cache_miss_p50_us", miss.quantile(0.50));
-    writer.integer("cache_miss_p99_us", miss.quantile(0.99));
+    writer.integer("cache_hit_p50_us", hit_us.quantile(0.50));
+    writer.integer("cache_hit_p99_us", hit_us.quantile(0.99));
+    writer.integer("cache_miss_p50_us", miss_us.quantile(0.50));
+    writer.integer("cache_miss_p99_us", miss_us.quantile(0.99));
     writer.close();
   }
 

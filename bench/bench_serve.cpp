@@ -13,7 +13,6 @@
 
 #include "bench_json.hpp"
 #include "pdcu/core/repository.hpp"
-#include "pdcu/obs/histogram.hpp"
 #include "pdcu/server/server.hpp"
 #include "pdcu/site/site.hpp"
 
@@ -128,7 +127,7 @@ void print_json_summary() {
   using Clock = std::chrono::steady_clock;
 
   // Router dispatch, no sockets.
-  pdcu::obs::Histogram dispatch_us;
+  pdcu::loadgen::Samples dispatch_us;
   const auto request = get_request("/activities/findsmallestcard/");
   constexpr int kDispatches = 5000;
   for (int i = 0; i < kDispatches; ++i) {
@@ -145,7 +144,6 @@ void print_json_summary() {
   const auto& repo = pdcu::core::Repository::builtin();
   pdcu::server::ServerOptions options;
   options.port = 0;
-  options.threads = 2;  // keep the bench independent of the default pool
   pdcu::server::HttpServer server(
       pdcu::server::Router(pdcu::site::build_site(repo), repo), options);
   if (!server.start()) {
@@ -158,7 +156,7 @@ void print_json_summary() {
   ::inet_pton(AF_INET, "127.0.0.1", &address.sin_addr);
   const std::string wire =
       "GET /healthz HTTP/1.1\r\nHost: b\r\nConnection: close\r\n\r\n";
-  pdcu::obs::Histogram roundtrip_us;
+  pdcu::loadgen::Samples roundtrip_us;
   constexpr int kRoundTrips = 300;
   int completed = 0;
   const auto sweep_start = Clock::now();
@@ -185,22 +183,20 @@ void print_json_summary() {
       std::chrono::duration<double>(Clock::now() - sweep_start).count();
   server.stop();
 
-  const auto dispatch = dispatch_us.snapshot();
-  const auto roundtrip = roundtrip_us.snapshot();
   pdcu::loadgen::BenchWriter writer("serve_micro", "bench_serve");
-  writer.integer("dispatches", dispatch.count);
+  writer.integer("dispatches", dispatch_us.count());
   writer.open("dispatch_us");
-  writer.integer("p50", dispatch.quantile(0.50));
-  writer.integer("p99", dispatch.quantile(0.99));
-  writer.number("mean", dispatch.mean());
+  writer.integer("p50", dispatch_us.quantile(0.50));
+  writer.integer("p99", dispatch_us.quantile(0.99));
+  writer.number("mean", dispatch_us.mean());
   writer.close();
-  writer.integer("roundtrips", roundtrip.count);
+  writer.integer("roundtrips", roundtrip_us.count());
   writer.number("loopback_rps",
                 sweep_s > 0.0 ? completed / sweep_s : 0.0);
   writer.open("roundtrip_us");
-  writer.integer("p50", roundtrip.quantile(0.50));
-  writer.integer("p99", roundtrip.quantile(0.99));
-  writer.number("mean", roundtrip.mean());
+  writer.integer("p50", roundtrip_us.quantile(0.50));
+  writer.integer("p99", roundtrip_us.quantile(0.99));
+  writer.number("mean", roundtrip_us.mean());
   writer.close();
   pdcu::benchjson::write_summary(writer.finish());
 }

@@ -14,8 +14,8 @@
 // without waiting for the next probe tick).
 //
 // The front's own surface lives under /_front/ (healthz + metrics) so it
-// can never shadow a replica route. Threading mirrors HttpServer's pool
-// backend: one accept thread, a private worker pool, blocking upstream
+// can never shadow a replica route. Threading is its own, not the
+// reactor's: one accept thread, a private worker pool, blocking upstream
 // I/O per worker. Tests run deterministically by setting probe_interval
 // and gossip_interval to zero and driving probe_once() / gossip rounds
 // by hand.

@@ -1,11 +1,14 @@
-// The blocking HTTP/1.1 client one load-generator worker drives: a single
-// connection that can be kept alive across requests or deliberately torn
-// down to pay the cold-connect cost the schedule asks for. Responses are
-// framed by Content-Length (the only framing the pdcu server emits), so a
-// keep-alive exchange knows exactly where one response ends and leaves the
-// socket clean for the next. Send/receive timeouts are enforced with
-// SO_SNDTIMEO/SO_RCVTIMEO; a timed-out connection is closed, because the
-// stream position is unknowable after an abandoned read.
+// A blocking HTTP/1.1 client connection: one socket that can be kept
+// alive across requests or deliberately torn down to pay the cold-connect
+// cost a schedule asks for. fetch_catalog_slugs() uses it to learn the
+// served slugs before a load run, and perfbench's load loops
+// (perfbench/src/drive.cpp) use it directly; the load generator itself
+// multiplexes its connections through epoll (see loadgen.hpp). Responses are framed by Content-Length
+// (the only framing the pdcu server emits), so a keep-alive exchange knows
+// exactly where one response ends and leaves the socket clean for the
+// next. Send/receive timeouts are enforced with SO_SNDTIMEO/SO_RCVTIMEO; a
+// timed-out connection is closed, because the stream position is
+// unknowable after an abandoned read.
 #pragma once
 
 #include <chrono>
@@ -66,8 +69,8 @@ class Connection {
 
 /// Case-insensitive lookup of a header value inside a response head
 /// (start line + header lines). Returns the trimmed value, lower-cased,
-/// or an empty string when absent. Shared by the blocking and epoll
-/// clients so both frame responses identically.
+/// or an empty string when absent. Shared by Connection and the load
+/// generator so both frame responses identically.
 std::string find_header_value(std::string_view head, std::string_view name);
 
 /// Fetches /api/catalog.json from a running server and returns the slugs

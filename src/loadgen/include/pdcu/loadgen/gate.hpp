@@ -66,8 +66,8 @@ std::vector<std::string> stencil_schema_violations(const BenchDoc& doc,
 /// latency-vs-offered-rate sweep committed as BENCH_sweep_serve.json).
 /// The sweep is too expensive to re-measure inside the gate, so the gate
 /// checks the committed document's shape instead: right bench name and
-/// schema, at least one pool_N and one reactor_N point each carrying
-/// rate/rps/completed, and a summary whose saturation numbers are
+/// schema, at least one reactor_N point, each carrying
+/// rate/rps/scheduled/completed, and a summary whose saturation number is
 /// consistent with the points. Returns human-readable violations; empty
 /// means the document is well-formed.
 std::vector<std::string> sweep_schema_violations(const BenchDoc& doc);

@@ -10,56 +10,34 @@
 // time. If the server stalls for 200 ms, every request scheduled inside
 // that window is charged the wait, and the p99 says so.
 //
-// N workers each own one connection and walk a round-robin slice of the
-// schedule, recording latencies into a worker-local obs::Histogram; the
-// snapshots merge lock-free at the end. Workers run on the provided
-// thread pool when it is big enough, otherwise on a private pool sized to
-// the connection count — a worker blocks in socket I/O for the whole run,
-// so packing two workers onto one pool thread would corrupt the schedule.
+// One thread drives every connection through non-blocking epoll state
+// machines, so --connections can climb to tens of thousands without tens
+// of thousands of blocked threads. Connection c walks schedule indices c,
+// c+N, ... in intended-time order and never skips a request it is late
+// for; the lateness is the coordinated-omission wait and belongs in the
+// recorded latency. Latencies are kept as exact samples (their number is
+// bounded by rate x duration), so every reported quantile is an observed
+// value.
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "pdcu/obs/histogram.hpp"
+#include "pdcu/loadgen/bench_json.hpp"
 #include "pdcu/loadgen/schedule.hpp"
 #include "pdcu/support/expected.hpp"
 
-namespace pdcu::rt {
-class ThreadPool;
-}  // namespace pdcu::rt
-
 namespace pdcu::loadgen {
-
-/// How the generator drives its connections.
-enum class ClientMode {
-  /// kBlocking under 65 connections, kEpoll above — the blocking client's
-  /// thread-per-connection model stops scaling right around there.
-  kAuto,
-  /// One worker thread per connection, blocking socket I/O. Simple, and
-  /// exact for small connection counts.
-  kBlocking,
-  /// One thread multiplexing every connection through epoll state
-  /// machines. Scales --connections to tens of thousands (the schedule
-  /// semantics — per-connection slices, intended-time latency — are
-  /// identical to the blocking mode).
-  kEpoll,
-};
 
 struct Options {
   std::string host = "127.0.0.1";
   std::uint16_t port = 8080;
-  unsigned connections = 4;  ///< worker connections walking the schedule
-  ClientMode client = ClientMode::kAuto;
-  std::chrono::milliseconds timeout{2000};  ///< per-exchange socket timeout
+  unsigned connections = 4;  ///< connections walking the schedule
+  std::chrono::milliseconds timeout{2000};  ///< per-exchange I/O timeout
   ScheduleOptions schedule;  ///< rate, duration, seed, zipf, mix
-  /// Workers run here when it has >= `connections` idle threads;
-  /// otherwise a private pool is created for the run (see file comment).
-  /// The epoll client ignores it (one thread drives everything).
-  rt::ThreadPool* pool = nullptr;
 };
 
 struct Result {
@@ -76,24 +54,14 @@ struct Result {
   std::uint64_t send_errors = 0;
   std::uint64_t read_errors = 0;
   std::uint64_t timeouts = 0;
-  /// Merged per-worker latencies, in microseconds, measured from each
-  /// request's intended send time (coordinated-omission-safe).
-  obs::Histogram::Snapshot latency_us;
-  std::uint64_t max_latency_us = 0;
-  /// Most connections simultaneously open during the run (== worker count
-  /// for the blocking client; the interesting number for the epoll one).
+  /// Every completed request's latency, in microseconds, measured from
+  /// its intended send time (coordinated-omission-safe).
+  Samples latency_us;
+  /// Most connections simultaneously open during the run.
   std::uint64_t peak_connections = 0;
 
   std::uint64_t errors_total() const {
     return connect_errors + send_errors + read_errors + timeouts;
-  }
-
-  /// The q-quantile of latency_us clamped to max_latency_us. The
-  /// histogram interpolates inside power-of-two buckets, so unclamped a
-  /// p999 could report a bucket's upper edge above anything observed.
-  /// Every reported latency quantile goes through this.
-  std::uint64_t latency_quantile(double q) const {
-    return std::min(latency_us.quantile(q), max_latency_us);
   }
 
   /// The no-silent-gaps invariant: every scheduled request lands in

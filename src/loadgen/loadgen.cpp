@@ -1,14 +1,22 @@
 #include "pdcu/loadgen/loadgen.hpp"
 
-#include <algorithm>
-#include <future>
-#include <memory>
-#include <thread>
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/epoll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
-#include "pdcu/loadgen/bench_json.hpp"
+#include <algorithm>
+#include <cerrno>
+#include <cstdlib>
+#include <cstring>
+#include <queue>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "pdcu/loadgen/client.hpp"
-#include "pdcu/loadgen/epoll_client.hpp"
-#include "pdcu/runtime/thread_pool.hpp"
 
 namespace pdcu::loadgen {
 
@@ -16,138 +24,410 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Everything one worker accumulates; folded into the Result at the end.
-struct WorkerTally {
-  obs::Histogram latency_us;
-  std::uint64_t max_latency_us = 0;
+/// One multiplexed connection's request-in-flight state machine.
+struct Conn {
+  enum class State {
+    kIdle,        ///< between requests (socket may stay open: keep-alive)
+    kConnecting,  ///< non-blocking connect in flight (EPOLLOUT = done)
+    kSending,     ///< request partially written (EPOLLOUT)
+    kReading,     ///< awaiting/parsing the response (EPOLLIN)
+  };
+
+  int fd = -1;
+  State state = State::kIdle;
+  std::size_t cursor = 0;  ///< how many of this conn's slice are finished
+  Clock::time_point intended;  ///< in-flight request's scheduled send time
+  Clock::time_point deadline;  ///< in-flight request's timeout
+  std::string out;             ///< request bytes still to write
+  std::size_t out_off = 0;
+  std::string in;              ///< unparsed response bytes
+};
+
+struct Tally {
+  Samples latency_us;
   std::uint64_t completed = 0;
   std::uint64_t status_2xx = 0, status_3xx = 0, status_4xx = 0,
                 status_5xx = 0;
   std::uint64_t connect_errors = 0, send_errors = 0, read_errors = 0,
                 timeouts = 0;
+  std::uint64_t open_now = 0, peak_open = 0;
   Clock::time_point last_response;
 };
 
-/// One worker: walks schedule indices w, w+stride, ... in intended-time
-/// order, sleeping until each request's arrival time and never skipping a
-/// request it is late for — the lateness is the coordinated-omission wait
-/// and belongs in the recorded latency.
-void run_worker(const Options& options,
-                const std::vector<ScheduledRequest>& schedule,
-                std::size_t worker, std::size_t stride,
-                Clock::time_point start, WorkerTally& tally) {
-  Connection connection(options.host, options.port, options.timeout);
-  tally.last_response = start;
-  for (std::size_t i = worker; i < schedule.size(); i += stride) {
-    const ScheduledRequest& request = schedule[i];
-    const Clock::time_point intended =
-        start + std::chrono::nanoseconds(request.offset_ns);
-    std::this_thread::sleep_until(intended);  // returns at once when late
-    if (request.fresh_connection) connection.close();
+class EpollClient {
+ public:
+  EpollClient(const Options& options,
+              const std::vector<ScheduledRequest>& schedule,
+              std::size_t connections)
+      : options_(options),
+        schedule_(schedule),
+        conns_(connections),
+        stride_(connections) {}
 
-    const Exchange exchange = connection.get(request.target);
-    const Clock::time_point now = Clock::now();
-    switch (exchange.outcome) {
-      case Outcome::kOk: {
-        const auto latency = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                now - intended)
-                .count());
-        tally.latency_us.record(latency);
-        tally.max_latency_us = std::max(tally.max_latency_us, latency);
-        ++tally.completed;
-        tally.last_response = now;
-        if (exchange.status >= 200 && exchange.status < 300) {
-          ++tally.status_2xx;
-        } else if (exchange.status < 400) {
-          ++tally.status_3xx;
-        } else if (exchange.status < 500) {
-          ++tally.status_4xx;
-        } else {
-          ++tally.status_5xx;
-        }
-        break;
+  Result run() {
+    Result result;
+    result.target_rate = options_.schedule.rate;
+    result.scheduled = schedule_.size();
+
+    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epoll_fd_ < 0) return result;
+    ::inet_pton(AF_INET, options_.host.c_str(), &addr_.sin_addr);
+    addr_.sin_family = AF_INET;
+    addr_.sin_port = htons(options_.port);
+
+    const Clock::time_point start =
+        Clock::now() + std::chrono::milliseconds(20);
+    start_ = start;
+    tally_.last_response = start;
+    // Every connection starts idle: seed the start queue with each one's
+    // first scheduled request.
+    for (std::size_t c = 0; c < conns_.size(); ++c) {
+      if (slice_index(c, 0) < schedule_.size()) {
+        starts_.push({intended_at(c, 0), c});
       }
-      case Outcome::kConnectError: ++tally.connect_errors; break;
-      case Outcome::kSendError: ++tally.send_errors; break;
-      case Outcome::kReadError: ++tally.read_errors; break;
-      case Outcome::kTimeout: ++tally.timeouts; break;
+    }
+
+    std::vector<epoll_event> events(1024);
+    while (in_flight_ > 0 || !starts_.empty()) {
+      const Clock::time_point now = Clock::now();
+      launch_due(now);
+      sweep_timeouts(now);
+      if (in_flight_ == 0 && starts_.empty()) break;
+
+      const int timeout_ms = wait_budget_ms(Clock::now());
+      const int ready = ::epoll_wait(epoll_fd_, events.data(),
+                                     static_cast<int>(events.size()),
+                                     timeout_ms);
+      for (int i = 0; i < ready; ++i) {
+        on_event(static_cast<std::size_t>(events[static_cast<std::size_t>(i)]
+                                              .data.u64),
+                 events[static_cast<std::size_t>(i)].events);
+      }
+    }
+
+    for (Conn& conn : conns_) close_conn(conn);
+    ::close(epoll_fd_);
+
+    result.completed = tally_.completed;
+    result.status_2xx = tally_.status_2xx;
+    result.status_3xx = tally_.status_3xx;
+    result.status_4xx = tally_.status_4xx;
+    result.status_5xx = tally_.status_5xx;
+    result.connect_errors = tally_.connect_errors;
+    result.send_errors = tally_.send_errors;
+    result.read_errors = tally_.read_errors;
+    result.timeouts = tally_.timeouts;
+    result.latency_us = std::move(tally_.latency_us);
+    result.peak_connections = tally_.peak_open;
+    result.wall_s =
+        std::chrono::duration<double>(tally_.last_response - start).count();
+    if (result.wall_s > 0.0) {
+      result.achieved_rate =
+          static_cast<double>(result.completed) / result.wall_s;
+    }
+    return result;
+  }
+
+ private:
+  /// Schedule index of connection `c`'s `cursor`-th request.
+  std::size_t slice_index(std::size_t c, std::size_t cursor) const {
+    return c + cursor * stride_;
+  }
+  Clock::time_point intended_at(std::size_t c, std::size_t cursor) const {
+    return start_ + std::chrono::nanoseconds(
+                        schedule_[slice_index(c, cursor)].offset_ns);
+  }
+
+  /// Starts every connection whose next request's intended time arrived.
+  void launch_due(Clock::time_point now) {
+    while (!starts_.empty() && starts_.top().first <= now) {
+      const std::size_t c = starts_.top().second;
+      starts_.pop();
+      begin_request(conns_[c], c, now);
     }
   }
-}
+
+  /// The only place in_flight_ changes: it is exactly the number of
+  /// connections whose state machine is mid-request (non-idle).
+  void set_state(Conn& conn, Conn::State next) {
+    const bool was_active = conn.state != Conn::State::kIdle;
+    const bool now_active = next != Conn::State::kIdle;
+    if (now_active && !was_active) ++in_flight_;
+    if (!now_active && was_active) --in_flight_;
+    conn.state = next;
+  }
+
+  void begin_request(Conn& conn, std::size_t c, Clock::time_point now) {
+    const ScheduledRequest& request = schedule_[slice_index(c, conn.cursor)];
+    conn.intended = intended_at(c, conn.cursor);
+    // The timeout is an I/O bound, so it runs from actual initiation, not
+    // the intended time — a late start (CO backlog) inflates latency, not
+    // the error counts.
+    conn.deadline = now + options_.timeout;
+    if (request.fresh_connection) close_conn(conn);
+
+    conn.out = "GET ";
+    conn.out += request.target;
+    conn.out += " HTTP/1.1\r\nHost: ";
+    conn.out += options_.host;
+    conn.out += "\r\nUser-Agent: pdcu-loadgen\r\n\r\n";
+    conn.out_off = 0;
+    conn.in.clear();
+
+    if (conn.fd >= 0) {
+      set_state(conn, Conn::State::kSending);
+      continue_send(conn, c);
+      return;
+    }
+    conn.fd = ::socket(AF_INET,
+                       SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+    if (conn.fd < 0) {
+      finish_error(conn, c, &Tally::connect_errors);
+      return;
+    }
+    const int nodelay = 1;
+    ::setsockopt(conn.fd, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                 sizeof nodelay);
+    ++tally_.open_now;
+    tally_.peak_open = std::max(tally_.peak_open, tally_.open_now);
+    const int rc = ::connect(
+        conn.fd, reinterpret_cast<const sockaddr*>(&addr_), sizeof addr_);
+    if (rc == 0) {
+      register_fd(conn, c, EPOLLOUT);
+      set_state(conn, Conn::State::kSending);
+      continue_send(conn, c);
+      return;
+    }
+    if (errno == EINPROGRESS) {
+      register_fd(conn, c, EPOLLOUT);
+      set_state(conn, Conn::State::kConnecting);
+      return;
+    }
+    finish_error(conn, c, &Tally::connect_errors);
+  }
+
+  void register_fd(Conn& conn, std::size_t c, std::uint32_t mask) {
+    epoll_event ev{};
+    ev.events = mask;
+    ev.data.u64 = c;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn.fd, &ev);
+  }
+
+  void rearm(Conn& conn, std::size_t c, std::uint32_t mask) {
+    epoll_event ev{};
+    ev.events = mask;
+    ev.data.u64 = c;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
+  }
+
+  void close_conn(Conn& conn) {
+    if (conn.fd < 0) return;
+    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn.fd, nullptr);
+    ::close(conn.fd);
+    conn.fd = -1;
+    conn.in.clear();
+    if (tally_.open_now > 0) --tally_.open_now;
+  }
+
+  /// The in-flight request failed; count it and queue the next one.
+  void finish_error(Conn& conn, std::size_t c,
+                    std::uint64_t Tally::* counter) {
+    ++(tally_.*counter);
+    close_conn(conn);
+    advance(conn, c);
+  }
+
+  void finish_ok(Conn& conn, std::size_t c, int status, bool server_closes,
+                 Clock::time_point now) {
+    const auto latency = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            now - conn.intended)
+            .count());
+    tally_.latency_us.record(latency);
+    ++tally_.completed;
+    tally_.last_response = std::max(tally_.last_response, now);
+    if (status >= 200 && status < 300) {
+      ++tally_.status_2xx;
+    } else if (status < 400) {
+      ++tally_.status_3xx;
+    } else if (status < 500) {
+      ++tally_.status_4xx;
+    } else {
+      ++tally_.status_5xx;
+    }
+    if (server_closes) {
+      close_conn(conn);
+    } else {
+      rearm(conn, c, 0);  // parked: no interest until the next request
+    }
+    advance(conn, c);
+  }
+
+  /// Moves a connection to its next scheduled request (or retires it).
+  void advance(Conn& conn, std::size_t c) {
+    set_state(conn, Conn::State::kIdle);
+    ++conn.cursor;
+    if (slice_index(c, conn.cursor) < schedule_.size()) {
+      starts_.push({intended_at(c, conn.cursor), c});
+    }
+  }
+
+  /// Entered with state == kSending (set_state already counted it).
+  void continue_send(Conn& conn, std::size_t c) {
+    while (conn.out_off < conn.out.size()) {
+      const ssize_t n = ::send(conn.fd, conn.out.data() + conn.out_off,
+                               conn.out.size() - conn.out_off, MSG_NOSIGNAL);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        if (errno == EAGAIN || errno == EWOULDBLOCK) {
+          rearm(conn, c, EPOLLOUT);
+          return;
+        }
+        finish_error(conn, c, &Tally::send_errors);
+        return;
+      }
+      conn.out_off += static_cast<std::size_t>(n);
+    }
+    set_state(conn, Conn::State::kReading);
+    rearm(conn, c, EPOLLIN);
+  }
+
+  void on_event(std::size_t c, std::uint32_t mask) {
+    Conn& conn = conns_[c];
+    switch (conn.state) {
+      case Conn::State::kIdle:
+        return;  // stale event for a parked/closed connection
+      case Conn::State::kConnecting: {
+        int err = 0;
+        socklen_t len = sizeof err;
+        ::getsockopt(conn.fd, SOL_SOCKET, SO_ERROR, &err, &len);
+        if ((mask & (EPOLLERR | EPOLLHUP)) != 0 || err != 0) {
+          finish_error(conn, c, &Tally::connect_errors);
+          return;
+        }
+        set_state(conn, Conn::State::kSending);
+        conn.out_off = 0;
+        continue_send(conn, c);
+        return;
+      }
+      case Conn::State::kSending:
+        continue_send(conn, c);
+        return;
+      case Conn::State::kReading:
+        continue_read(conn, c);
+        return;
+    }
+  }
+
+  void continue_read(Conn& conn, std::size_t c) {
+    char chunk[16 * 1024];
+    bool eof = false;
+    while (true) {
+      const ssize_t n = ::recv(conn.fd, chunk, sizeof chunk, 0);
+      if (n > 0) {
+        conn.in.append(chunk, static_cast<std::size_t>(n));
+        continue;
+      }
+      if (n == 0) {
+        eof = true;
+        break;
+      }
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      finish_error(conn, c, &Tally::read_errors);
+      return;
+    }
+
+    const auto head_end = conn.in.find("\r\n\r\n");
+    if (head_end == std::string::npos) {
+      if (eof) finish_error(conn, c, &Tally::read_errors);
+      return;  // need more head bytes
+    }
+    if (conn.in.size() < 12 || conn.in.compare(0, 5, "HTTP/") != 0) {
+      finish_error(conn, c, &Tally::read_errors);
+      return;
+    }
+    const std::string_view head(conn.in.data(), head_end + 2);
+    const std::string length_text =
+        find_header_value(head, "content-length");
+    const bool server_closes =
+        find_header_value(head, "connection") == "close" ||
+        length_text.empty();
+    const int status = std::atoi(conn.in.c_str() + 9);
+    const std::size_t body_start = head_end + 4;
+
+    if (!length_text.empty()) {
+      const auto body_length = static_cast<std::size_t>(
+          std::strtoull(length_text.c_str(), nullptr, 10));
+      if (conn.in.size() < body_start + body_length) {
+        if (eof) finish_error(conn, c, &Tally::read_errors);
+        return;  // body still arriving
+      }
+      conn.in.erase(0, body_start + body_length);
+      finish_ok(conn, c, status, server_closes, Clock::now());
+      return;
+    }
+    // Unframed response: complete at EOF (the server is closing).
+    if (!eof) return;
+    finish_ok(conn, c, status, /*server_closes=*/true, Clock::now());
+  }
+
+  /// Times out every in-flight request whose deadline passed. O(conns),
+  /// called once per loop — the loop iterates at event cadence, so this
+  /// stays cheap relative to the I/O it polices.
+  void sweep_timeouts(Clock::time_point now) {
+    if (now < next_sweep_) return;
+    next_sweep_ = now + std::chrono::milliseconds(50);
+    for (std::size_t c = 0; c < conns_.size(); ++c) {
+      Conn& conn = conns_[c];
+      if (conn.state == Conn::State::kIdle || now < conn.deadline) continue;
+      finish_error(conn, c,
+                   conn.state == Conn::State::kConnecting
+                       ? &Tally::connect_errors
+                       : &Tally::timeouts);
+    }
+  }
+
+  /// How long epoll_wait may block: until the next scheduled start or the
+  /// next timeout sweep, whichever is sooner.
+  int wait_budget_ms(Clock::time_point now) const {
+    Clock::time_point until = next_sweep_;
+    if (!starts_.empty()) until = std::min(until, starts_.top().first);
+    const auto ms =
+        std::chrono::duration_cast<std::chrono::milliseconds>(until - now)
+            .count();
+    return static_cast<int>(std::clamp<long long>(ms, 0, 50));
+  }
+
+  const Options& options_;
+  const std::vector<ScheduledRequest>& schedule_;
+  std::vector<Conn> conns_;
+  std::size_t stride_;
+  int epoll_fd_ = -1;
+  sockaddr_in addr_{};
+  Clock::time_point start_{};
+  Clock::time_point next_sweep_{};
+  /// (intended time, connection) of every idle connection's next request.
+  using StartEntry = std::pair<Clock::time_point, std::size_t>;
+  std::priority_queue<StartEntry, std::vector<StartEntry>,
+                      std::greater<StartEntry>>
+      starts_;
+  std::size_t in_flight_ = 0;
+  Tally tally_;
+};
 
 }  // namespace
 
-/// 64 blocked worker threads is where thread-per-connection stops being
-/// a reasonable model; kAuto switches to the epoll client above it.
-constexpr unsigned kAutoEpollThreshold = 64;
-
 Result run(const Options& options,
            const std::vector<ScheduledRequest>& schedule) {
-  if (options.client == ClientMode::kEpoll ||
-      (options.client == ClientMode::kAuto &&
-       options.connections > kAutoEpollThreshold)) {
-    return run_epoll(options, schedule);
-  }
-
-  Result result;
-  result.target_rate = options.schedule.rate;
-  result.scheduled = schedule.size();
-  if (schedule.empty()) return result;
-
-  const std::size_t workers =
-      std::max<std::size_t>(1, std::min<std::size_t>(options.connections,
-                                                     schedule.size()));
-  // A worker occupies its pool thread for the entire run (blocking socket
-  // I/O), so an undersized pool would serialize workers and destroy the
-  // arrival schedule. Fall back to a private pool in that case.
-  rt::ThreadPool* pool = options.pool;
-  std::unique_ptr<rt::ThreadPool> private_pool;
-  if (pool == nullptr || pool->size() < workers) {
-    private_pool =
-        std::make_unique<rt::ThreadPool>(static_cast<unsigned>(workers));
-    pool = private_pool.get();
-  }
-
-  std::vector<WorkerTally> tallies(workers);
-  // Small start offset so every worker is parked on its first
-  // sleep_until before the first arrival fires.
-  const Clock::time_point start =
-      Clock::now() + std::chrono::milliseconds(20);
-  std::vector<std::future<void>> done;
-  done.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    done.push_back(pool->submit([&, w] {
-      run_worker(options, schedule, w, workers, start, tallies[w]);
-    }));
-  }
-  for (auto& future : done) future.get();
-
-  Clock::time_point last_response = start;
-  for (const WorkerTally& tally : tallies) {
-    result.latency_us.merge(tally.latency_us.snapshot());
-    result.max_latency_us =
-        std::max(result.max_latency_us, tally.max_latency_us);
-    result.completed += tally.completed;
-    result.status_2xx += tally.status_2xx;
-    result.status_3xx += tally.status_3xx;
-    result.status_4xx += tally.status_4xx;
-    result.status_5xx += tally.status_5xx;
-    result.connect_errors += tally.connect_errors;
-    result.send_errors += tally.send_errors;
-    result.read_errors += tally.read_errors;
-    result.timeouts += tally.timeouts;
-    last_response = std::max(last_response, tally.last_response);
-  }
-  result.wall_s =
-      std::chrono::duration<double>(last_response - start).count();
-  if (result.wall_s > 0.0) {
-    result.achieved_rate =
-        static_cast<double>(result.completed) / result.wall_s;
-  }
-  // Each blocking worker owns exactly one connection for the whole run.
-  result.peak_connections = workers;
-  return result;
+  Result empty;
+  empty.target_rate = options.schedule.rate;
+  empty.scheduled = schedule.size();
+  if (schedule.empty()) return empty;
+  const std::size_t connections = std::max<std::size_t>(
+      1, std::min<std::size_t>(options.connections, schedule.size()));
+  EpollClient client(options, schedule, connections);
+  return client.run();
 }
 
 Expected<Result> run_against(const Options& options) {
@@ -176,13 +456,13 @@ std::string render_result_json(const Result& result, std::string_view bench,
   writer.integer("peak_connections", result.peak_connections);
   writer.close();
   writer.open("latency_us");
-  writer.integer("p50", result.latency_quantile(0.50));
-  writer.integer("p90", result.latency_quantile(0.90));
-  writer.integer("p95", result.latency_quantile(0.95));
-  writer.integer("p99", result.latency_quantile(0.99));
-  writer.integer("p999", result.latency_quantile(0.999));
+  writer.integer("p50", result.latency_us.quantile(0.50));
+  writer.integer("p90", result.latency_us.quantile(0.90));
+  writer.integer("p95", result.latency_us.quantile(0.95));
+  writer.integer("p99", result.latency_us.quantile(0.99));
+  writer.integer("p999", result.latency_us.quantile(0.999));
   writer.number("mean", result.latency_us.mean());
-  writer.integer("max", result.max_latency_us);
+  writer.integer("max", result.latency_us.max());
   writer.close();
   writer.open("status");
   writer.integer("2xx", result.status_2xx);

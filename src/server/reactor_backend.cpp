@@ -45,8 +45,8 @@ class ReactorHandler final : public net::Handler {
     }
 
     const auto handle_start = std::chrono::steady_clock::now();
-    // One snapshot per request, exactly like the pool backend: a reload
-    // that lands mid-request swaps the next request onto the new site.
+    // One snapshot per request: a reload that lands mid-request swaps the
+    // next request onto the new site, never this one mid-flight.
     std::shared_ptr<const Router> snapshot = router_();
 
     // A request body would poison keep-alive framing (bodies are never

@@ -36,22 +36,10 @@ class Histogram {
     std::uint64_t cumulative(std::size_t bucket) const;
 
     /// The p-th percentile (p in [0, 100]), linearly interpolated inside
-    /// the winning bucket; 0 when empty. Monotone in p.
+    /// the winning bucket; 0 when empty. Monotone in p. An estimate for
+    /// span summaries; exact bench and load-run quantiles come from
+    /// loadgen::Samples.
     std::uint64_t percentile(double p) const;
-
-    /// The q-th quantile (q in [0, 1]), interpolated in *log space* inside
-    /// the winning bucket: the mass of a bucket (lo, hi] is assumed
-    /// uniform in log(value), which matches the geometric bucket layout
-    /// and keeps the estimator unbiased for the long-tailed latency
-    /// distributions the load generator records. 0 when empty; monotone
-    /// in q. Prefer this over percentile() for reported latencies.
-    std::uint64_t quantile(double q) const;
-
-    /// Adds another snapshot's counts and sum into this one. Plain
-    /// integer arithmetic — this is how per-worker histograms combine
-    /// without any locks: each worker snapshots its own histogram, then
-    /// one thread folds the snapshots together.
-    void merge(const Snapshot& other);
 
     double mean() const {
       return count == 0 ? 0.0
@@ -70,16 +58,6 @@ class Histogram {
   std::uint64_t count() const { return snapshot().count; }
   std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   std::uint64_t percentile(double p) const { return snapshot().percentile(p); }
-
-  /// Adds every count (and the sum) of `other` into this histogram, as if
-  /// all of other's values had been recorded here too. Safe against
-  /// concurrent record() on either side (each bucket is read once and
-  /// added atomically).
-  void merge(const Histogram& other);
-
-  /// Older spelling of merge(); kept for call sites that read better with
-  /// the directional name.
-  void merge_from(const Histogram& other) { merge(other); }
 
   /// Bucket that record(value) lands in.
   static std::size_t bucket_index(std::uint64_t value);

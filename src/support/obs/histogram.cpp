@@ -28,24 +28,6 @@ Histogram::Snapshot Histogram::snapshot() const {
   return snap;
 }
 
-void Histogram::merge(const Histogram& other) {
-  const Snapshot snap = other.snapshot();
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    if (snap.buckets[i] != 0) {
-      buckets_[i].fetch_add(snap.buckets[i], std::memory_order_relaxed);
-    }
-  }
-  sum_.fetch_add(snap.sum, std::memory_order_relaxed);
-}
-
-void Histogram::Snapshot::merge(const Snapshot& other) {
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    buckets[i] += other.buckets[i];
-  }
-  count += other.count;
-  sum += other.sum;
-}
-
 std::uint64_t Histogram::Snapshot::cumulative(std::size_t bucket) const {
   std::uint64_t total = 0;
   for (std::size_t i = 0; i <= bucket && i < kBucketCount; ++i) {
@@ -81,41 +63,6 @@ std::uint64_t Histogram::Snapshot::percentile(double p) const {
     return lower + static_cast<std::uint64_t>(
                        std::llround(fraction *
                                     static_cast<double>(upper - lower)));
-  }
-  return bucket_upper_bound(kBucketCount - 2);
-}
-
-std::uint64_t Histogram::Snapshot::quantile(double q) const {
-  if (count == 0) return 0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const auto target =
-      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count)));
-  const std::uint64_t rank = target == 0 ? 1 : target;
-
-  std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    if (buckets[i] == 0) continue;
-    if (seen + buckets[i] < rank) {
-      seen += buckets[i];
-      continue;
-    }
-    const std::uint64_t lower = i == 0 ? 0 : bucket_upper_bound(i - 1);
-    if (i == kBucketCount - 1) return lower;
-    const std::uint64_t upper = bucket_upper_bound(i);
-    const double fraction = static_cast<double>(rank - seen) /
-                            static_cast<double>(buckets[i]);
-    if (lower == 0) {
-      // Bucket 0 holds {0, 1}: no log space to interpolate in.
-      return static_cast<std::uint64_t>(
-          std::llround(fraction * static_cast<double>(upper)));
-    }
-    // Geometric interpolation: with upper == 2 * lower this is exactly
-    // lower * 2^fraction, i.e. uniform in log(value) across the bucket.
-    const double ratio =
-        static_cast<double>(upper) / static_cast<double>(lower);
-    return static_cast<std::uint64_t>(
-        std::llround(static_cast<double>(lower) * std::pow(ratio, fraction)));
   }
   return bucket_upper_bound(kBucketCount - 2);
 }

@@ -45,12 +45,6 @@ struct Replica {
     router.set_gossip(&agent);
     server::ServerOptions options;
     options.port = 0;
-    // A private worker pool per replica: the front holds keep-alive
-    // connections (proxy + gossip), each of which parks a pool-backend
-    // worker — sharing rt::default_pool() across three replicas on a
-    // small machine would let one replica's idle connections starve
-    // another replica's accepts.
-    options.threads = 4;
     instance = std::make_unique<server::HttpServer>(std::move(router),
                                                     std::move(options));
     const auto status = instance->start();

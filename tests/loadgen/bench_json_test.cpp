@@ -1,15 +1,62 @@
 // The BENCH schema's writer/parser pair. Every committed BENCH_*.json
 // file and every bench_gate comparison flows through these two, so the
 // round-trip property (write → parse → same values) is load-bearing.
+// Also the exact percentile (Samples) every reported latency goes through.
 #include "pdcu/loadgen/bench_json.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <string>
+#include <vector>
+
+#include "pdcu/support/rng.hpp"
 
 namespace loadgen = pdcu::loadgen;
 
 namespace {
+
+TEST(Samples, QuantilesMatchASortedOracle) {
+  // A long-tailed, latency-shaped sample: deterministic log-uniform values
+  // over [1, ~1e6], recorded in arrival (unsorted) order.
+  pdcu::Rng rng(20260808);
+  loadgen::Samples samples;
+  std::vector<std::uint64_t> oracle;
+  double sum = 0.0;
+  for (int i = 0; i < 5001; ++i) {
+    const auto value = static_cast<std::uint64_t>(
+        std::llround(std::exp(rng.uniform() * std::log(1e6))));
+    samples.record(value);
+    oracle.push_back(value);
+    sum += static_cast<double>(value);
+  }
+  std::sort(oracle.begin(), oracle.end());
+  ASSERT_EQ(samples.count(), oracle.size());
+
+  std::uint64_t previous = 0;
+  for (double q = 0.0; q <= 1.0; q += 0.001) {
+    const std::uint64_t value = samples.quantile(q);
+    // Nearest rank: the sorted value at round(q * (n - 1)), never an
+    // interpolation, so it is always an observed value.
+    const auto rank = static_cast<std::size_t>(
+        std::llround(q * static_cast<double>(oracle.size() - 1)));
+    EXPECT_EQ(value, oracle[rank]) << "q=" << q;
+    EXPECT_GE(value, previous) << "q=" << q;
+    EXPECT_LE(value, samples.max()) << "q=" << q;
+    previous = value;
+  }
+  EXPECT_EQ(samples.quantile(0.0), oracle.front());
+  EXPECT_EQ(samples.quantile(1.0), oracle.back());
+  EXPECT_EQ(samples.max(), oracle.back());
+  EXPECT_DOUBLE_EQ(samples.mean(), sum / static_cast<double>(oracle.size()));
+
+  const loadgen::Samples empty;
+  EXPECT_EQ(empty.quantile(0.5), 0u);
+  EXPECT_EQ(empty.max(), 0u);
+  EXPECT_DOUBLE_EQ(empty.mean(), 0.0);
+}
 
 TEST(BenchWriter, OpensWithTheSchemaFields) {
   loadgen::BenchWriter writer("serve", "unit");

@@ -1,18 +1,15 @@
 // Unit tests for the lock-free log-bucketed histogram: exact bucket
-// boundaries, percentile monotonicity, merging, exposition rendering, and
-// a concurrent-record hammer that gives TSan something to chew on.
+// boundaries, percentile monotonicity, exposition rendering, and a
+// concurrent-record hammer that gives TSan something to chew on.
 #include "pdcu/obs/histogram.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "pdcu/obs/lint.hpp"
-#include "pdcu/support/rng.hpp"
 #include "pdcu/support/strings.hpp"
 
 namespace obs = pdcu::obs;
@@ -91,107 +88,6 @@ TEST(Histogram, RepeatedSingleValueGivesATightPercentile) {
     EXPECT_GE(value, 4u) << "p=" << p;
     EXPECT_LE(value, 8u) << "p=" << p;
   }
-}
-
-TEST(Histogram, MergeAddsCountsAndSums) {
-  obs::Histogram a;
-  obs::Histogram b;
-  for (const std::uint64_t v : {1u, 10u, 100u}) a.record(v);
-  for (const std::uint64_t v : {2u, 20u, 200u, 2000u}) b.record(v);
-  a.merge_from(b);
-  const auto merged = a.snapshot();
-  EXPECT_EQ(merged.count, 7u);
-  EXPECT_EQ(merged.sum, 111u + 2222u);
-  EXPECT_EQ(merged.cumulative(obs::Histogram::bucket_index(2)), 2u);
-  // b is untouched.
-  EXPECT_EQ(b.snapshot().count, 4u);
-}
-
-// Loads `values` into `shards` histograms round-robin, merges them two
-// ways (atomic Histogram::merge and plain Snapshot::merge), checks both
-// agree, and returns the merged snapshot.
-obs::Histogram::Snapshot sharded_merge(const std::vector<std::uint64_t>& values,
-                                       std::size_t shards) {
-  std::vector<obs::Histogram> workers(shards);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    workers[i % shards].record(values[i]);
-  }
-  obs::Histogram combined;
-  obs::Histogram::Snapshot folded;
-  for (const auto& worker : workers) {
-    combined.merge(worker);
-    folded.merge(worker.snapshot());
-  }
-  const auto atomic_snap = combined.snapshot();
-  EXPECT_EQ(atomic_snap.count, folded.count);
-  EXPECT_EQ(atomic_snap.sum, folded.sum);
-  EXPECT_EQ(atomic_snap.buckets, folded.buckets);
-  return folded;
-}
-
-TEST(Histogram, MergedQuantilesMatchASortedSampleOracle) {
-  // A long-tailed, latency-shaped sample: deterministic log-uniform values
-  // over [1, ~1e6], the distribution the log buckets were built for.
-  pdcu::Rng rng(20260808);
-  std::vector<std::uint64_t> values;
-  values.reserve(5000);
-  for (int i = 0; i < 5000; ++i) {
-    values.push_back(static_cast<std::uint64_t>(
-        std::llround(std::exp(rng.uniform() * std::log(1e6)))));
-  }
-  const auto merged = sharded_merge(values, 4);
-  EXPECT_EQ(merged.count, values.size());
-
-  std::vector<std::uint64_t> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  for (const double q : {0.10, 0.50, 0.90, 0.95, 0.99, 0.999}) {
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(sorted.size())));
-    const std::uint64_t oracle = sorted[rank == 0 ? 0 : rank - 1];
-    const std::uint64_t estimate = merged.quantile(q);
-    // Power-of-two buckets bound the relative error by 2x in either
-    // direction; the log-space interpolation should stay well inside.
-    EXPECT_GE(estimate * 2, oracle) << "q=" << q;
-    EXPECT_LE(estimate, oracle * 2) << "q=" << q;
-  }
-}
-
-TEST(Histogram, QuantileIsMonotoneAndHandlesEdges) {
-  obs::Histogram h;
-  for (std::uint64_t v = 1; v <= 1000; ++v) h.record(v);
-  const auto snap = h.snapshot();
-  std::uint64_t previous = 0;
-  for (double q = 0.0; q <= 1.0; q += 0.005) {
-    const std::uint64_t value = snap.quantile(q);
-    EXPECT_GE(value, previous) << "q=" << q;
-    previous = value;
-  }
-  // The true median 500 lives in bucket (256, 512].
-  EXPECT_GE(snap.quantile(0.5), 256u);
-  EXPECT_LE(snap.quantile(0.5), 512u);
-  EXPECT_LE(snap.quantile(1.0), 1024u);
-  EXPECT_EQ(obs::Histogram::Snapshot{}.quantile(0.5), 0u);
-
-  // A single repeated value stays pinned to its bucket.
-  obs::Histogram single;
-  for (int i = 0; i < 64; ++i) single.record(7);
-  const auto pinned = single.snapshot();
-  for (const double q : {0.01, 0.5, 0.99, 1.0}) {
-    EXPECT_GE(pinned.quantile(q), 4u) << "q=" << q;
-    EXPECT_LE(pinned.quantile(q), 8u) << "q=" << q;
-  }
-}
-
-TEST(Histogram, SnapshotMergeOntoEmptyIsIdentity) {
-  obs::Histogram h;
-  for (const std::uint64_t v : {3u, 900u, 123456u}) h.record(v);
-  const auto original = h.snapshot();
-  obs::Histogram::Snapshot folded;
-  folded.merge(original);
-  EXPECT_EQ(folded.buckets, original.buckets);
-  EXPECT_EQ(folded.count, original.count);
-  EXPECT_EQ(folded.sum, original.sum);
-  EXPECT_EQ(folded.quantile(0.99), original.quantile(0.99));
 }
 
 TEST(Histogram, ExpositionSeriesAreCumulativeAndLintClean) {

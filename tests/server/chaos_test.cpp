@@ -87,7 +87,7 @@ std::string body_of(const std::string& reply) {
 /// ephemeral port, ReloadManager driven manually via check_once().
 struct Stack {
   explicit Stack(const std::filesystem::path& content_dir,
-                 server::Backend backend = server::Backend::kPool) {
+                 unsigned net_shards = 1) {
     auto loaded = core::Repository::load_lenient(content_dir);
     EXPECT_TRUE(loaded.has_value());
     const core::LoadReport& report = loaded.value();
@@ -102,7 +102,7 @@ struct Stack {
 
     server::ServerOptions options;
     options.port = 0;
-    options.backend = backend;
+    options.net_shards = net_shards;
     http = std::make_unique<server::HttpServer>(std::move(router),
                                                 std::move(options));
     EXPECT_TRUE(http->start().has_value());
@@ -189,25 +189,29 @@ TEST(Chaos, BrokenFileAtStartupDegradesInsteadOfDying) {
                              "\"quarantined_slugs\":[\"findsmallestcard\"]"));
 }
 
-/// Reload-under-load runs against both server backends: RCU router swaps
-/// must stay invisible to in-flight clients whether requests are served
-/// by the blocking pool or the epoll reactor (whose zero-copy writes keep
-/// the pre-swap snapshot alive via the response guard).
-class ChaosBackends : public ::testing::TestWithParam<server::Backend> {};
+/// Reload-under-load runs against a pool of reactor shards ("pool") and
+/// a single epoll loop ("reactor"): RCU router swaps must stay invisible
+/// to in-flight clients on every shard, since the reactor's zero-copy
+/// writes keep the pre-swap snapshot alive via the response guard.
+namespace {
+enum class Layout { kShardPool, kSingleLoop };
+
+class ChaosBackends : public ::testing::TestWithParam<Layout> {};
+}  // namespace
 
 INSTANTIATE_TEST_SUITE_P(
     Chaos, ChaosBackends,
-    ::testing::Values(server::Backend::kPool, server::Backend::kReactor),
-    [](const ::testing::TestParamInfo<server::Backend>& info) {
-      return info.param == server::Backend::kReactor ? "reactor" : "pool";
+    ::testing::Values(Layout::kShardPool, Layout::kSingleLoop),
+    [](const ::testing::TestParamInfo<Layout>& info) {
+      return info.param == Layout::kSingleLoop ? "reactor" : "pool";
     });
 
 TEST_P(ChaosBackends, FailedReloadKeepsServingLastKnownGoodUnderLoad) {
-  // One directory per backend: ctest -j runs both instances at once.
-  auto dir = fresh_content_dir(GetParam() == server::Backend::kReactor
-                                   ? "pdcu_chaos_reload_reactor"
-                                   : "pdcu_chaos_reload_pool");
-  Stack stack(dir, GetParam());  // healthy start
+  // One directory per layout: ctest -j runs both instances at once.
+  const bool pool = GetParam() == Layout::kShardPool;
+  auto dir = fresh_content_dir(pool ? "pdcu_chaos_reload_pool"
+                                    : "pdcu_chaos_reload_reactor");
+  Stack stack(dir, pool ? 2 : 1);  // healthy start
   EXPECT_TRUE(strs::contains(body_of(simple_get(stack.port(), "/healthz")),
                              "\"status\":\"ok\""));
 

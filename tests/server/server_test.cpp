@@ -104,14 +104,16 @@ struct ScopedServer {
   std::unique_ptr<server::HttpServer> instance;
 };
 
-/// Wire-level tests run against one HttpServer backend at a time;
-/// instantiated for both the blocking pool and the epoll reactor so the
-/// observable HTTP contract can never drift between them.
-class BothBackends : public ::testing::TestWithParam<server::Backend> {
+/// The reactor layouts every wire-level case runs against: a pool of
+/// SO_REUSEPORT shards ("pool") and a single epoll loop ("reactor"). The
+/// observable HTTP contract must not depend on how many shards accept.
+enum class Layout { kShardPool, kSingleLoop };
+
+class BothBackends : public ::testing::TestWithParam<Layout> {
  protected:
   server::ServerOptions opts() const {
     server::ServerOptions options;
-    options.backend = GetParam();
+    options.net_shards = GetParam() == Layout::kShardPool ? 2 : 1;
     return options;
   }
 };
@@ -120,9 +122,9 @@ class BothBackends : public ::testing::TestWithParam<server::Backend> {
 
 INSTANTIATE_TEST_SUITE_P(
     HttpServer, BothBackends,
-    ::testing::Values(server::Backend::kPool, server::Backend::kReactor),
-    [](const ::testing::TestParamInfo<server::Backend>& info) {
-      return info.param == server::Backend::kReactor ? "reactor" : "pool";
+    ::testing::Values(Layout::kShardPool, Layout::kSingleLoop),
+    [](const ::testing::TestParamInfo<Layout>& info) {
+      return info.param == Layout::kSingleLoop ? "reactor" : "pool";
     });
 
 TEST_P(BothBackends, ServesAnActivityPageOverARealSocket) {
@@ -269,8 +271,8 @@ TEST_P(BothBackends, LiveMetricsScrapeIsLintClean) {
 }
 
 TEST_P(BothBackends, AccessLogRecordsOneJsonLinePerRequest) {
-  // Unique per backend: the pool and reactor instances of this test can
-  // run concurrently under `ctest -j` and must not share a file.
+  // Unique per layout: the two instances of this test can run
+  // concurrently under `ctest -j` and must not share a file.
   const std::string path =
       testing::TempDir() + "pdcu_access_log_test_" +
       std::to_string(static_cast<int>(GetParam())) + ".jsonl";
@@ -405,13 +407,9 @@ TEST_P(BothBackends, SwapRouterChangesWhatSubsequentRequestsSee) {
 TEST(HttpServer, TwoEphemeralServersRunConcurrently) {
   // Flake-free CI and loadgen self-tests rely on --port 0 never
   // colliding: two servers started concurrently must get distinct kernel-
-  // assigned ports and both must serve. Each gets a private pool — on a
-  // small shared default pool, two servers' connection tasks could starve
-  // each other.
-  server::ServerOptions options;
-  options.threads = 2;
-  ScopedServer first(options);
-  ScopedServer second(options);
+  // assigned ports and both must serve.
+  ScopedServer first;
+  ScopedServer second;
   ASSERT_NE(first.port(), 0);
   ASSERT_NE(second.port(), 0);
   EXPECT_NE(first.port(), second.port());
